@@ -7,26 +7,15 @@ edge-insertion batches far cheaper than recomputation.
   batches with path-halving batch finds (insert-only connectivity is the
   textbook incremental case; Grape's IncEval does exactly this,
   Section 8.2).
-* :class:`IncrementalSSSP` — frontier-seeded warm-start Bellman–Ford:
-  after a batch, only vertices whose distance a new edge improves (and
-  the cascade they trigger) are relaxed.  Bit-identical to a cold run.
-* :class:`IncrementalLPA` — memoized synchronous label propagation:
-  the per-round label history is kept, and a batch re-evaluates only
-  vertices whose round-k neighbourhood multiset could have changed.
-  Bit-identical to recomputing all rounds on the new snapshot.
-* :class:`MemoizedPageRank` — the same memoized-refresh construction
-  for the benchmark's fixed-iteration PageRank (dangling mass dropped
-  so the update rule stays local).  Bit-identical to a cold run because
-  refreshed partial sums accumulate in the same ascending-neighbour
-  order as the cold ``bincount`` sweep.
 * :class:`IncrementalPageRank` — warm-started power iteration to a
   tolerance: each batch resumes from the previous ranks and converges
   in a fraction of the cold-start iterations.
 
-All classes expose ``operations`` work counters so the
-incremental-vs-recompute benefit is measurable, and all are validated
-against full recomputation in tests; :func:`fingerprint` is the
-result-array digest used for those per-window parity assertions.
+Both are validated against full recomputation in
+``tests/algorithms/test_incremental.py``; :func:`fingerprint` is the
+result-array digest the dynamic benchmark uses for its per-window
+parity assertions.  The engine-level streaming mode
+(:mod:`repro.platforms.vertex_centric.streaming`) covers SSSP and LPA.
 """
 
 from __future__ import annotations
@@ -41,9 +30,6 @@ from repro.errors import GeneratorParameterError
 
 __all__ = [
     "IncrementalWCC",
-    "IncrementalSSSP",
-    "IncrementalLPA",
-    "MemoizedPageRank",
     "IncrementalPageRank",
     "fingerprint",
     "replay_stream_wcc",
@@ -62,25 +48,6 @@ def fingerprint(values: np.ndarray) -> str:
     digest.update(str(arr.shape).encode())
     digest.update(arr.tobytes())
     return digest.hexdigest()
-
-
-def _expand(indptr: np.ndarray, indices: np.ndarray,
-            verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat adjacency expansion of ``verts``: (owner position, neighbour).
-
-    Owner positions index into ``verts``; neighbours of each vertex come
-    out in CSR block order (ascending for every graph the builders
-    produce), which is what keeps memoized partial sums bit-identical to
-    the full-sweep ``bincount`` accumulation order.
-    """
-    counts = indptr[verts + 1] - indptr[verts]
-    total = int(counts.sum())
-    starts = np.repeat(indptr[verts], counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    owner = np.repeat(np.arange(verts.size, dtype=np.int64), counts)
-    return owner, indices[starts + offsets]
 
 
 class IncrementalWCC:
@@ -154,263 +121,6 @@ class IncrementalWCC:
             labels = above
         self._parent = labels        # full compression, like scalar find
         return labels.copy()
-
-
-class IncrementalSSSP:
-    """Hop-distance SSSP under edge insertions (warm Bellman–Ford).
-
-    Insertions only ever lower distances, so the least fixpoint after a
-    batch is reached by relaxing outward from the vertices a new edge
-    improves — the delta-activated frontier — instead of restarting from
-    the source.  Distances are unit-weight hops (how the platforms run
-    SSSP on the unweighted benchmark datasets), so warm and cold runs
-    are bit-identical.
-    """
-
-    def __init__(self, num_vertices: int, *, source: int = 0) -> None:
-        if not 0 <= source < num_vertices:
-            raise GeneratorParameterError(
-                f"source {source} out of range [0, {num_vertices})"
-            )
-        self.source = source
-        self.distances = np.full(num_vertices, np.inf)
-        self.operations = 0          # frontier pops + edge relaxations
-
-    def recompute(self, graph: Graph) -> np.ndarray:
-        """Cold start: full frontier relaxation from the source."""
-        self.distances = np.full(graph.num_vertices, np.inf)
-        self.distances[self.source] = 0.0
-        self._relax(graph, np.array([self.source], dtype=np.int64))
-        return self.distances
-
-    def apply_batch(self, graph: Graph, src: np.ndarray,
-                    dst: np.ndarray) -> np.ndarray:
-        """Fold a batch in; ``graph`` is the post-batch snapshot.
-
-        Seeds the frontier with batch endpoints whose distance improves
-        through a new edge; an all-duplicate batch seeds nothing and
-        costs only the batch scan.
-        """
-        if np.isinf(self.distances[self.source]):
-            return self.recompute(graph)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        heads = np.concatenate([src, dst])
-        tails = np.concatenate([dst, src])
-        self.operations += int(heads.size)
-        before = self.distances.copy()
-        np.minimum.at(self.distances, tails, self.distances[heads] + 1.0)
-        self._relax(graph, np.nonzero(self.distances < before)[0])
-        return self.distances
-
-    def _relax(self, graph: Graph, frontier: np.ndarray) -> None:
-        indptr, indices = graph.indptr, graph.indices
-        while frontier.size:
-            self.operations += int(frontier.size)
-            owner, targets = _expand(indptr, indices, frontier)
-            self.operations += int(targets.size)
-            candidates = self.distances[frontier][owner] + 1.0
-            before = self.distances.copy()
-            np.minimum.at(self.distances, targets, candidates)
-            frontier = np.nonzero(self.distances < before)[0]
-
-
-class IncrementalLPA:
-    """Memoized synchronous label propagation under edge insertions.
-
-    Synchronous LPA is a fixed number of rounds of "adopt the modal
-    neighbour label, ties to the smallest" — so round k of the new
-    snapshot can differ from round k of the old one only at vertices
-    whose round-(k-1) neighbourhood multiset changed: endpoints of new
-    edges, plus neighbours of vertices that changed in round k-1.  The
-    tracker keeps the full per-round label history and re-evaluates just
-    that affected set each round, giving bit-identical labels to a cold
-    :func:`~repro.algorithms.reference.label_propagation` run on the new
-    snapshot.
-    """
-
-    def __init__(self, num_vertices: int, *, rounds: int = 10) -> None:
-        if rounds < 0:
-            raise GeneratorParameterError("rounds must be non-negative")
-        self.num_vertices = num_vertices
-        self.rounds = rounds
-        self.operations = 0          # vertices evaluated + labels scanned
-        self._history: list[np.ndarray] | None = None
-
-    def labels(self) -> np.ndarray:
-        """Current labels (requires a prior recompute/apply_batch)."""
-        if self._history is None:
-            raise GeneratorParameterError("LPA tracker has no labels yet")
-        return self._history[-1]
-
-    def recompute(self, graph: Graph) -> np.ndarray:
-        """Cold start: run all rounds over every vertex, keep history."""
-        n = graph.num_vertices
-        everyone = np.arange(n, dtype=np.int64)
-        history = [everyone.copy()]
-        for _ in range(self.rounds):
-            prev = history[-1]
-            cur = self._modal(graph, everyone, prev)
-            if np.array_equal(cur, prev):
-                break                # converged: later rounds are no-ops
-            history.append(cur)
-        while len(history) < self.rounds + 1:
-            history.append(history[-1])
-        self._history = history
-        return history[-1]
-
-    def apply_batch(self, graph: Graph, frontier: np.ndarray) -> np.ndarray:
-        """Fold a batch in; ``graph`` is the post-batch snapshot.
-
-        ``frontier`` is the delta frontier (vertices incident to
-        genuinely-new edges, e.g. from ``DeltaCSR.apply_batch``); an
-        empty frontier leaves the history untouched.
-        """
-        if self._history is None:
-            return self.recompute(graph)
-        endpoints = np.unique(np.asarray(frontier, dtype=np.int64))
-        if endpoints.size == 0:
-            return self._history[-1]
-        old = self._history
-        indptr, indices = graph.indptr, graph.indices
-        history = [old[0]]
-        changed = endpoints
-        for k in range(1, self.rounds + 1):
-            sources = np.unique(np.concatenate([endpoints, changed]))
-            _, reached = _expand(indptr, indices, sources)
-            affected = np.unique(np.concatenate([endpoints, reached]))
-            cur = old[k].copy()
-            cur[affected] = self._modal(graph, affected, history[-1])[affected]
-            changed = affected[cur[affected] != old[k][affected]]
-            history.append(cur)
-        self._history = history
-        return history[-1]
-
-    def _modal(self, graph: Graph, verts: np.ndarray,
-               prev: np.ndarray) -> np.ndarray:
-        """One synchronous round restricted to ``verts``.
-
-        Returns a full-length label array: ``verts`` get their modal-min
-        neighbour label (isolated vertices keep their previous label),
-        everything else carries ``prev`` through.
-        """
-        out = prev.copy()
-        owner, neighbours = _expand(graph.indptr, graph.indices, verts)
-        self.operations += int(verts.size + neighbours.size)
-        if neighbours.size == 0:
-            return out
-        nlab = prev[neighbours]
-        order = np.lexsort((nlab, owner))
-        owner_s, nlab_s = owner[order], nlab[order]
-        # Run-length encode (owner, label) pairs; within an owner, runs
-        # come out label-ascending, so the smallest label among maximal
-        # counts is a minimum over best runs.
-        boundary = np.ones(nlab_s.size, dtype=bool)
-        boundary[1:] = (owner_s[1:] != owner_s[:-1]) | (
-            nlab_s[1:] != nlab_s[:-1]
-        )
-        run_start = np.nonzero(boundary)[0]
-        run_owner = owner_s[run_start]
-        run_label = nlab_s[run_start]
-        run_len = np.diff(np.append(run_start, nlab_s.size))
-        best_len = np.zeros(verts.size, dtype=np.int64)
-        np.maximum.at(best_len, run_owner, run_len)
-        is_best = run_len == best_len[run_owner]
-        best = np.full(verts.size, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(best, run_owner[is_best], run_label[is_best])
-        with_neighbours = np.unique(run_owner)
-        out[verts[with_neighbours]] = best[with_neighbours]
-        return out
-
-
-class MemoizedPageRank:
-    """Memoized fixed-iteration PageRank refresh (bit-identical).
-
-    Tracks the benchmark's fixed-round PageRank with dangling mass
-    dropped (redistribution couples every vertex to every other, which
-    destroys locality — the standard trade in incremental PageRank
-    systems).  The per-round rank history is memoized; a batch
-    re-evaluates round k only at vertices with a changed in-sum: new
-    endpoints' neighbours and neighbours of vertices whose round-(k-1)
-    rank changed.  Refreshed sums gather each vertex's neighbours in
-    ascending order — the same per-vertex accumulation order as the cold
-    full-sweep ``bincount`` — so refreshed ranks are bit-identical to a
-    cold run on the new snapshot, not merely close.
-    """
-
-    def __init__(self, num_vertices: int, *, damping: float = 0.85,
-                 rounds: int = 10) -> None:
-        if not 0.0 <= damping <= 1.0:
-            raise GeneratorParameterError(
-                f"damping must be in [0, 1], got {damping}"
-            )
-        if rounds < 0:
-            raise GeneratorParameterError("rounds must be non-negative")
-        self.num_vertices = num_vertices
-        self.damping = damping
-        self.rounds = rounds
-        self.operations = 0          # vertices refreshed + slots summed
-        self._history: list[np.ndarray] | None = None
-
-    def ranks(self) -> np.ndarray:
-        """Current ranks (requires a prior recompute/apply_batch)."""
-        if self._history is None:
-            raise GeneratorParameterError("PageRank tracker has no ranks yet")
-        return self._history[-1]
-
-    def _contributions(self, prev: np.ndarray,
-                       degrees: np.ndarray) -> np.ndarray:
-        return np.where(degrees > 0, prev / np.maximum(degrees, 1.0), 0.0)
-
-    def recompute(self, graph: Graph) -> np.ndarray:
-        """Cold start: full sweeps for every round, keep history."""
-        n = graph.num_vertices
-        degrees = np.diff(graph.indptr).astype(np.float64)
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-        dst = graph.indices
-        base = (1.0 - self.damping) / n
-        history = [np.full(n, 1.0 / n)]
-        for _ in range(self.rounds):
-            contrib = self._contributions(history[-1], degrees)
-            sums = np.bincount(dst, weights=contrib[src], minlength=n)
-            history.append(base + self.damping * sums)
-            self.operations += int(n + dst.size)
-        self._history = history
-        return history[-1]
-
-    def apply_batch(self, graph: Graph, frontier: np.ndarray) -> np.ndarray:
-        """Fold a batch in; ``graph`` is the post-batch snapshot.
-
-        ``frontier`` is the delta frontier from ``DeltaCSR.apply_batch``;
-        an empty frontier leaves the history untouched.
-        """
-        if self._history is None:
-            return self.recompute(graph)
-        endpoints = np.unique(np.asarray(frontier, dtype=np.int64))
-        if endpoints.size == 0:
-            return self._history[-1]
-        old = self._history
-        n = graph.num_vertices
-        indptr, indices = graph.indptr, graph.indices
-        degrees = np.diff(indptr).astype(np.float64)
-        base = (1.0 - self.damping) / n
-        history = [old[0]]
-        changed = endpoints   # endpoints' degrees changed → contributions do
-        for k in range(1, self.rounds + 1):
-            senders = np.unique(np.concatenate([endpoints, changed]))
-            _, reached = _expand(indptr, indices, senders)
-            affected = np.unique(reached)
-            contrib = self._contributions(history[-1], degrees)
-            owner, neighbours = _expand(indptr, indices, affected)
-            sums = np.bincount(owner, weights=contrib[neighbours],
-                               minlength=affected.size)
-            cur = old[k].copy()
-            cur[affected] = base + self.damping * sums
-            changed = affected[cur[affected] != old[k][affected]]
-            self.operations += int(affected.size + neighbours.size)
-            history.append(cur)
-        self._history = history
-        return history[-1]
 
 
 class IncrementalPageRank:

@@ -16,10 +16,7 @@ share one contract:
 * :func:`run_sync` — submit + gather one request in a single call.
 
 Outcomes are bit-identical to direct ``run_case`` executions — the
-facade adds batching and a schema, never semantics.  The legacy
-package-level entry points still work but now emit
-:class:`DeprecationWarning` (see the migration table in
-``docs/service.md``).
+facade adds batching and a schema, never semantics.
 """
 
 from __future__ import annotations

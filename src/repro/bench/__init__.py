@@ -13,26 +13,16 @@ parallel case executor behind ``repro-bench --jobs``) and
 cache behind ``--cache-dir``); both preserve bit-identical outcomes and
 change only wall-clock time.
 
-.. deprecated::
-    The package-level ``run_case`` / ``run_cases`` / ``run_grid``
-    re-exports are deprecated in favour of the versioned
-    :mod:`repro.api` facade (``submit`` / ``gather`` / ``run_sync``)
-    and, for server deployments, :mod:`repro.service`.  They keep
-    working — delegating unchanged to :mod:`repro.bench.runner` and
-    :mod:`repro.bench.pool` — but emit :class:`DeprecationWarning`.
-    The submodule imports (``repro.bench.runner.run_case`` etc.) are
-    *not* deprecated; internal code uses those.  Migration table:
-    ``docs/service.md``.
+Cases are run through :mod:`repro.bench.runner` (``run_case``),
+:mod:`repro.bench.pool` (``run_cases`` / ``run_grid``), or the
+versioned :mod:`repro.api` facade; this package re-exports only the
+value types and the store/reporting helpers.
 """
-
-import warnings as _warnings
 
 from repro.bench.pool import (
     get_default_jobs,
     set_default_jobs,
 )
-from repro.bench.pool import run_cases as _run_cases
-from repro.bench.pool import run_grid as _run_grid
 from repro.bench.runner import (
     RED_BAR_CASES,
     RETRY_BACKOFF_SECONDS,
@@ -41,7 +31,6 @@ from repro.bench.runner import (
     CaseSpec,
     clear_case_cache,
 )
-from repro.bench.runner import run_case as _run_case
 from repro.bench.store import (
     ArtifactStore,
     get_artifact_store,
@@ -55,9 +44,6 @@ __all__ = [
     "RETRY_BACKOFF_SECONDS",
     "CaseOutcome",
     "CaseSpec",
-    "run_case",
-    "run_cases",
-    "run_grid",
     "set_default_jobs",
     "get_default_jobs",
     "ArtifactStore",
@@ -69,46 +55,3 @@ __all__ = [
     "render_table",
 ]
 
-
-def _deprecated(name: str, replacement: str) -> None:
-    """Emit the one-line migration pointer for a legacy entry point."""
-    _warnings.warn(
-        f"repro.bench.{name} is deprecated; use {replacement} "
-        "(see docs/service.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_case(*args, **kwargs):
-    """Deprecated package-level shim for
-    :func:`repro.bench.runner.run_case`.
-
-    Prefer :func:`repro.api.run_sync` (versioned request/response) or
-    import from :mod:`repro.bench.runner` directly.
-    """
-    _deprecated("run_case", "repro.api.run_sync")
-    return _run_case(*args, **kwargs)
-
-
-def run_cases(*args, **kwargs):
-    """Deprecated package-level shim for
-    :func:`repro.bench.pool.run_cases`.
-
-    Prefer :func:`repro.api.submit` + :func:`repro.api.gather` or
-    import from :mod:`repro.bench.pool` directly.
-    """
-    _deprecated("run_cases", "repro.api.submit/gather")
-    return _run_cases(*args, **kwargs)
-
-
-def run_grid(*args, **kwargs):
-    """Deprecated package-level shim for
-    :func:`repro.bench.pool.run_grid`.
-
-    Prefer building :class:`~repro.service.schema.CaseRequest` grids
-    through :mod:`repro.api` or import from :mod:`repro.bench.pool`
-    directly.
-    """
-    _deprecated("run_grid", "repro.api")
-    return _run_grid(*args, **kwargs)

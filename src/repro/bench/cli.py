@@ -494,17 +494,6 @@ def main(argv: list[str] | None = None) -> int:
              "width); outcomes are bit-identical at any N",
     )
     parser.add_argument(
-        "--intra-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="split each case's bulk supersteps over N shard worker "
-             "processes sharing the graph zero-copy (default "
-             "$REPRO_INTRA_JOBS or 1; clamped so jobs x intra-jobs "
-             "stays within $REPRO_SLOT_BUDGET); outcomes are "
-             "bit-identical at any N",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="PATH",
         default=None,
@@ -593,7 +582,6 @@ def main(argv: list[str] | None = None) -> int:
         profile = resolve_profile(
             {
                 "jobs": args.jobs,
-                "intra_jobs": args.intra_jobs,
                 "cache_dir": args.cache_dir,
                 "no_cache": args.no_cache,
                 "dataset_cache_size": args.dataset_cache_size,
@@ -659,10 +647,8 @@ def _configure_harness(profile):
     """
     from repro.bench import pool, store as store_mod
     from repro.datagen.catalog import set_dataset_cache_size, set_dataset_format
-    from repro.platforms.parallel.config import set_default_intra_jobs
 
     pool.set_default_jobs(profile.jobs)
-    set_default_intra_jobs(profile.intra_jobs)
     if profile.dataset_cache_size is not None:
         set_dataset_cache_size(profile.dataset_cache_size)
     set_dataset_format(profile.dataset_format)
@@ -703,11 +689,6 @@ def _teardown_harness(store) -> None:
         store_mod.set_artifact_store(None)
     pool.set_default_jobs(1)
     set_dataset_format("memory")
-    from repro.platforms.parallel import shard
-    from repro.platforms.parallel.config import set_default_intra_jobs
-
-    set_default_intra_jobs(1)
-    shard.shutdown_shard_pools()
 
 
 def _dispatch(args) -> int:

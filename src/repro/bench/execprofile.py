@@ -1,8 +1,8 @@
 """Execution profiles: one config object for the harness's runtime knobs.
 
 ``repro-bench`` grew its execution flags one PR at a time — ``--jobs``,
-``--intra-jobs``, ``--cache-dir``, ``--no-cache``,
-``--dataset-cache-size``, ``--dataset-format``, ``--trace`` — and every
+``--cache-dir``, ``--no-cache``, ``--dataset-cache-size``,
+``--dataset-format``, ``--trace`` — and every
 entry point (CLI, service, benchmarks, CI smoke tools) re-assembled the
 same knobs by hand.  :class:`ExecutionProfile` consolidates them into a
 single frozen value object with **one** precedence rule, applied by
@@ -49,7 +49,6 @@ class ExecutionProfile:
     Field semantics match the historical CLI flags exactly:
 
     * ``jobs`` — pool worker processes (1 = in-process sequential).
-    * ``intra_jobs`` — per-case shard workers (engine-internal).
     * ``cache_dir`` — persistent artifact-store root (``None`` = no
       store unless ``no_cache`` decides otherwise at the entry point).
     * ``no_cache`` — disable the persistent store even if a default
@@ -65,7 +64,6 @@ class ExecutionProfile:
     """
 
     jobs: int = 1
-    intra_jobs: int = 1
     cache_dir: str | None = None
     no_cache: bool = False
     dataset_cache_size: int | None = None
@@ -79,10 +77,6 @@ class ExecutionProfile:
         if self.jobs < 1:
             raise ExecutionProfileError(
                 f"jobs must be >= 1, got {self.jobs}"
-            )
-        if self.intra_jobs < 1:
-            raise ExecutionProfileError(
-                f"intra-jobs must be >= 1, got {self.intra_jobs}"
             )
         if self.dataset_cache_size is not None and self.dataset_cache_size < 0:
             raise ExecutionProfileError(
@@ -107,7 +101,6 @@ class ExecutionProfile:
 
 _INT_FIELDS = {
     "jobs",
-    "intra_jobs",
     "dataset_cache_size",
     "dynamic_batches",
     "dynamic_batch_edges",

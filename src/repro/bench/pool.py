@@ -34,11 +34,6 @@ from repro.bench.runner import CaseOutcome, CaseSpec, memoize_outcome
 from repro.bench.store import ArtifactStore, get_artifact_store, set_artifact_store
 from repro.errors import ClusterConfigError
 from repro.obs import POOL_FALLBACKS, POOL_TASKS, get_tracer, tracing
-from repro.platforms.parallel.config import (
-    in_shard_worker,
-    in_worker_process,
-    mark_worker_process,
-)
 
 __all__ = [
     "run_cases",
@@ -70,6 +65,10 @@ def get_default_jobs() -> int:
     return _DEFAULT_JOBS
 
 
+#: Set by :func:`_worker_init` in every pool (and service) worker;
+#: :func:`run_cases` reads it to refuse nested pools.
+_IN_POOL_WORKER = False
+
 #: One-time latch for the nested-pool degradation warning, so a grid of
 #: hundreds of cases produces one stderr line, not hundreds.
 _FALLBACK_WARNED = False
@@ -92,7 +91,7 @@ def _note_pool_fallback(requested_jobs: int) -> None:
 
         print(
             f"repro-bench: nested run_cases(jobs={requested_jobs}) inside a "
-            "pool/shard worker degraded to jobs=1 (fork-bomb guard); "
+            "pool worker degraded to jobs=1 (fork-bomb guard); "
             "outcomes are unchanged, only this process's parallelism",
             file=sys.stderr,
         )
@@ -120,7 +119,6 @@ def _worker_init(
     store_root: str | None,
     cache_size: int | None,
     dataset_format: str = "memory",
-    pool_width: int = 1,
 ) -> None:
     """Initializer run once per worker process.
 
@@ -133,12 +131,11 @@ def _worker_init(
     and opens the one on-disk CSR file read-only, instead of unpickling
     a private in-RAM copy.
 
-    The worker is also marked with its pool's width: nested
-    :func:`run_cases` calls then refuse to open a second pool, and the
-    engines' intra-case sharding clamps itself to this worker's share of
-    the global slot budget.
+    The process is also marked as a pool worker, so nested
+    :func:`run_cases` calls refuse to open a second pool.
     """
-    mark_worker_process(pool_width)
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
     if store_root is not None:
         set_artifact_store(ArtifactStore(store_root))
     if cache_size is not None:
@@ -250,15 +247,14 @@ def run_cases(
     jobs = _DEFAULT_JOBS if jobs is None else jobs
     if jobs < 1:
         raise ClusterConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1 and (in_worker_process() or in_shard_worker()):
-        # Fork-bomb guard: a pool worker (or an intra-case shard
-        # worker) asked for another pool.  Nested pools would multiply
-        # processes without bound, so degrade to in-process sequential
-        # execution — outcome-identical by the pool determinism
-        # contract.  Surfaced (not silent): the tracer counts the
-        # fallback and the first occurrence per process warns on
-        # stderr, since callers asking for jobs>1 here usually have a
-        # misplaced parallelism knob.
+    if jobs > 1 and _IN_POOL_WORKER:
+        # Fork-bomb guard: a pool worker asked for another pool.
+        # Nested pools would multiply processes without bound, so
+        # degrade to in-process sequential execution —
+        # outcome-identical by the pool determinism contract.  Surfaced
+        # (not silent): the tracer counts the fallback and the first
+        # occurrence per process warns on stderr, since callers asking
+        # for jobs>1 here usually have a misplaced parallelism knob.
         _note_pool_fallback(jobs)
         jobs = 1
     if jobs == 1 or len(specs) <= 1:
@@ -281,11 +277,10 @@ def run_cases(
     outcomes: dict[CaseSpec, CaseOutcome] = {}
     with tracer.span("pool", category="pool", jobs=jobs,
                      cases=len(unique)):
-        width = min(jobs, len(unique))
         with ProcessPoolExecutor(
-            max_workers=width,
+            max_workers=min(jobs, len(unique)),
             initializer=_worker_init,
-            initargs=(store_root, cache_size, dataset_format, width),
+            initargs=(store_root, cache_size, dataset_format),
         ) as executor:
             futures = []
             for spec in unique:

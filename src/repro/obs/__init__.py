@@ -41,7 +41,6 @@ from repro.obs.counters import (
     SERVICE_DEDUP_HITS,
     SERVICE_REJECTED,
     SERVICE_SUBMITS,
-    SHARD_TASKS,
     STORE_HITS,
     STORE_MISSES,
     STORE_PUTS,
@@ -99,7 +98,6 @@ __all__ = [
     "STORE_PUTS",
     "POOL_TASKS",
     "POOL_FALLBACKS",
-    "SHARD_TASKS",
     "KERNEL_CACHE_HITS",
     "KERNEL_CACHE_MISSES",
     "SERVICE_SUBMITS",

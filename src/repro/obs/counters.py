@@ -43,7 +43,6 @@ __all__ = [
     "STORE_MISSES",
     "STORE_PUTS",
     "POOL_TASKS",
-    "SHARD_TASKS",
     "KERNEL_CACHE_HITS",
     "KERNEL_CACHE_MISSES",
     "POOL_FALLBACKS",
@@ -107,16 +106,13 @@ STORE_PUTS = "store_puts"
 #: Benchmark cases dispatched to pool worker processes
 #: (``repro.bench.pool.run_cases``).
 POOL_TASKS = "pool_tasks"
-#: Superstep slices dispatched to intra-case shard workers
-#: (``repro.platforms.parallel.shard``).
-SHARD_TASKS = "shard_tasks"
 #: Derived-kernel lookups served from the per-graph cache
 #: (``repro.platforms.kernels.cached_kernel``).
 KERNEL_CACHE_HITS = "kernel_cache_hits"
 #: Derived-kernel lookups that had to rebuild the artifact.
 KERNEL_CACHE_MISSES = "kernel_cache_misses"
 #: ``run_cases(jobs>1)`` calls that degraded to sequential execution
-#: because they ran inside a pool or shard worker (nested-pool guard).
+#: because they ran inside a pool worker (nested-pool guard).
 POOL_FALLBACKS = "pool_fallbacks"
 #: Benchmark cases submitted to the multi-tenant service
 #: (``repro.service.BenchmarkService.submit``).
@@ -205,10 +201,6 @@ VOCABULARY: dict[str, str] = {
     POOL_TASKS: (
         "Benchmark cases dispatched to pool worker processes "
         "(repro.bench.pool.run_cases)."
-    ),
-    SHARD_TASKS: (
-        "Superstep slices dispatched to intra-case shard workers "
-        "(repro.platforms.parallel.shard)."
     ),
     KERNEL_CACHE_HITS: (
         "Derived-kernel lookups served from the per-graph cache "

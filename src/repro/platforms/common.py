@@ -10,9 +10,7 @@ with silently-diverging defaults; now an unknown mode raises one clear
 :class:`~repro.errors.PlatformError` everywhere.
 
 The flat-CSR vectorization primitives (``expand_segments``,
-``forward_edge_arrays``, …) live in :mod:`repro.platforms.kernels`;
-they are re-exported here for backwards compatibility, but new code
-should import from the kernels module directly.
+``forward_edge_arrays``, …) live in :mod:`repro.platforms.kernels`.
 """
 
 from __future__ import annotations
@@ -23,21 +21,12 @@ from dataclasses import dataclass
 from repro.core.graph import Graph
 from repro.errors import PlatformError
 from repro.faults.schedule import EMPTY_SCHEDULE, FaultSchedule
-from repro.platforms.kernels import (  # noqa: F401  (re-exports)
-    expand_segments,
-    forward_adjacency,
-    forward_edge_arrays,
-    vertex_order_positions,
-)
+from repro.platforms.kernels import vertex_order_positions
 
 __all__ = [
     "EngineMode",
     "EngineOptions",
     "parse_engine_options",
-    "expand_segments",
-    "forward_adjacency",
-    "forward_edge_arrays",
-    "vertex_order_positions",
     "adjacency_shipping_bytes",
 ]
 
@@ -71,26 +60,20 @@ class EngineOptions:
     checkpoint_interval:
         Supersteps between checkpoint images when the schedule is
         non-empty (ignored otherwise).
-    intra_jobs:
-        Requested shard-worker processes for intra-case partition
-        parallelism on the bulk paths (clamped at run time by the
-        shared slot budget; 1 disables sharding).
     """
 
     mode: EngineMode = EngineMode.AUTO
     fault_schedule: FaultSchedule = EMPTY_SCHEDULE
     checkpoint_interval: int = 8
-    intra_jobs: int = 1
 
 
 def parse_engine_options(params: dict) -> EngineOptions:
     """Pop and validate the shared engine knobs out of ``params``.
 
     Mutates ``params`` (the platform's remaining keyword arguments) by
-    removing ``engine_mode``, ``fault_schedule``,
-    ``checkpoint_interval``, and ``intra_jobs`` (whose default comes
-    from the process-global parallel config, not the case params);
-    everything else is left for the algorithm implementations.  Raises :class:`~repro.errors.PlatformError` for an
+    removing ``engine_mode``, ``fault_schedule``, and
+    ``checkpoint_interval``; everything else is left for the algorithm
+    implementations.  Raises :class:`~repro.errors.PlatformError` for an
     unknown mode, a schedule of the wrong type, or a non-positive
     checkpoint interval.
     """
@@ -118,28 +101,10 @@ def parse_engine_options(params: dict) -> EngineOptions:
         raise PlatformError(
             f"checkpoint_interval must be an int >= 1, got {interval!r}"
         )
-    intra_jobs = params.pop("intra_jobs", None)
-    if intra_jobs is None:
-        # Deliberately sourced from process-global config (CLI flag /
-        # REPRO_INTRA_JOBS), not from case params: the knob must never
-        # enter CaseSpec fingerprints — a sharded run is bit-identical
-        # to a single-process one, so cached artifacts stay shared.
-        from repro.platforms.parallel.config import get_default_intra_jobs
-
-        intra_jobs = get_default_intra_jobs()
-    if (
-        not isinstance(intra_jobs, int)
-        or isinstance(intra_jobs, bool)
-        or intra_jobs < 1
-    ):
-        raise PlatformError(
-            f"intra_jobs must be an int >= 1, got {intra_jobs!r}"
-        )
     return EngineOptions(
         mode=mode,
         fault_schedule=schedule,
         checkpoint_interval=interval,
-        intra_jobs=intra_jobs,
     )
 
 

@@ -139,20 +139,10 @@ class BulkGASProgram(GASProgram):
     Bulk gathers must be *total*: every scanned edge contributes (the
     scalar ``gather`` never returns ``None``).  Programs whose gather
     skips edges (BFS, BC) stay on the scalar path.
-
-    ``shard_safe`` opts the program into intra-case partition
-    parallelism: it declares that :meth:`apply_bulk` writes per-vertex
-    state only at ``vertices`` indexes and that scalar attributes are
-    only ever set to values independent of which vertices a process
-    handles (e.g. a ``changed`` flag) — so gather/apply/scatter over
-    contiguous active slices in separate processes, merged in slice
-    order, is bit-identical to one call.
     """
 
     #: engine-side reduction: "sum" | "min" | "majority"
     gather_mode: str = "sum"
-    #: opt-in for intra-case partition parallelism (see class docstring)
-    shard_safe: bool = False
 
     def gather_bulk(
         self, sources: np.ndarray, weights: np.ndarray | None
@@ -364,10 +354,9 @@ class EdgeCentricEngine:
     """Iterative GAS executor with vertex-cut metering.
 
     ``mode`` selects the execution path: ``"auto"`` (default) takes the
-    vectorized bulk path whenever the program implements it and the
-    profile's ``bulk_frontier`` flag allows, ``"bulk"`` forces it
-    (raising :class:`~repro.errors.PlatformError` for scalar-only
-    programs), and ``"scalar"`` forces the per-vertex path.
+    vectorized bulk path whenever the program implements it, ``"bulk"``
+    forces it (raising :class:`~repro.errors.PlatformError` for
+    scalar-only programs), and ``"scalar"`` forces the per-vertex path.
     """
 
     def __init__(
@@ -378,7 +367,6 @@ class EdgeCentricEngine:
         profile: PlatformProfile,
         *,
         mode: str = "auto",
-        intra_jobs: int = 1,
     ) -> None:
         if mode not in ("auto", "bulk", "scalar"):
             raise PlatformError(
@@ -389,7 +377,6 @@ class EdgeCentricEngine:
         self.recorder = recorder
         self.profile = profile
         self.mode = mode
-        self.intra_jobs = intra_jobs
         self.last_path: str | None = None
 
     def run(self, program: GASProgram, *, max_iterations: int = 100000) -> GASProgram:
@@ -405,42 +392,16 @@ class EdgeCentricEngine:
                 )
             use_bulk = True
         else:
-            use_bulk = bulk_capable and self.profile.bulk_frontier
+            use_bulk = bulk_capable
         self.last_path = "bulk" if use_bulk else "scalar"
-        shard_jobs = self._shard_jobs(program) if use_bulk else 1
         with get_tracer().span(
             f"edge-centric/{type(program).__name__}",
             category="engine",
             path=self.last_path,
         ):
             if use_bulk:
-                if shard_jobs > 1:
-                    from repro.platforms.parallel.edge import (
-                        run_bulk_sharded_gas,
-                    )
-                    return run_bulk_sharded_gas(
-                        self, program, max_iterations, shard_jobs
-                    )
                 return self._run_bulk(program, max_iterations)
             return self._run_scalar(program, max_iterations)
-
-    def _shard_jobs(self, program: GASProgram) -> int:
-        """Shard count for this run: >1 only for ``shard_safe`` programs
-        with no fault injection and a slot budget granting more than one
-        process; 1 keeps the in-process bulk path (same results, same
-        ``last_path``)."""
-        if (
-            not getattr(program, "shard_safe", False)
-            or self.recorder.faults is not None
-        ):
-            return 1
-        from repro.platforms.parallel.config import effective_intra_jobs
-
-        jobs = min(
-            effective_intra_jobs(self.intra_jobs),
-            max(1, self.graph.num_vertices),
-        )
-        return jobs if jobs >= 2 else 1
 
     # ------------------------------------------------------------------
     # Scalar path

@@ -81,8 +81,7 @@ class EdgeCentricPlatform(Platform):
         options: EngineOptions,
     ) -> Any:
         # The greedy vertex-cut is deterministic in (graph, NUM_PARTS),
-        # so repeat cases on the same graph reuse one placement (and the
-        # sharded path ships its arrays instead of rebuilding per worker).
+        # so repeat cases on the same graph reuse one placement.
         placement = cached_kernel(
             graph, ("edge-placement", NUM_PARTS),
             lambda: EdgePlacement(graph, NUM_PARTS),
@@ -91,8 +90,7 @@ class EdgeCentricPlatform(Platform):
         # through the vectorized bulk GAS path; SCALAR/BULK force one
         # path (the parity tests diff the two).
         engine = EdgeCentricEngine(
-            graph, placement, recorder, self.profile,
-            mode=options.mode.value, intra_jobs=options.intra_jobs,
+            graph, placement, recorder, self.profile, mode=options.mode.value
         )
 
         if algorithm == "pr":

@@ -66,7 +66,6 @@ class PageRankGAS(BulkGASProgram):
     damped update; 10 fixed rounds driven by the master hook."""
 
     gather_mode = "sum"
-    shard_safe = True
 
     def __init__(self, *, damping: float = 0.85, iterations: int = 10) -> None:
         self.damping = damping
@@ -141,7 +140,6 @@ class LabelPropagationGAS(BulkGASProgram):
 
     message_bytes = 24.0  # partial label histograms
     gather_mode = "majority"
-    shard_safe = True
 
     def __init__(self, *, iterations: int = 10) -> None:
         self.iterations = iterations
@@ -211,7 +209,6 @@ class SSSPGAS(BulkGASProgram):
     bit-identical WorkTraces)."""
 
     gather_mode = "min"
-    shard_safe = True
 
     def __init__(self, source: int = 0) -> None:
         self.source = source
@@ -268,7 +265,6 @@ class WCCGAS(BulkGASProgram):
     """
 
     gather_mode = "min"
-    shard_safe = True
 
     def __init__(self) -> None:
         self.labels: np.ndarray | None = None

@@ -56,13 +56,6 @@ class PlatformProfile:
         similar round-compressed algorithms (Flash, Pregel+).
     single_machine_only:
         Ligra: shared memory only; running on >1 machine is an error.
-    bulk_frontier:
-        Let the vertex-centric and edge-centric engines' ``auto`` mode
-        take their vectorized bulk paths for programs that implement
-        them (parity-guaranteed with the scalar paths, so on by
-        default);
-        set ``False`` to pin a platform to the scalar path — an
-        ablation/debugging knob, not a modelled platform feature.
     partition_strategy:
         "hash" (vertex placement), "edge" (PowerGraph vertex-cuts), or
         "block" (Grape contiguous blocks).
@@ -85,7 +78,6 @@ class PlatformProfile:
     combiner: bool = False
     global_messaging: bool = False
     single_machine_only: bool = False
-    bulk_frontier: bool = True
     partition_strategy: str = "hash"
     bytes_per_vertex: float = 16.0
     bytes_per_edge: float = 16.0

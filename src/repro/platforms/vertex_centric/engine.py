@@ -145,19 +145,10 @@ class BulkVertexProgram(VertexProgram):
         then invoked each superstep *before* the quiescence check, with
         the same ``(superstep, ctx)`` signature, and any returned
         vertices are merged into the frontier.
-    shard_safe:
-        Opt-in flag for intra-case partition parallelism.  Declares
-        that :meth:`compute_bulk` (a) reads and writes per-vertex state
-        only at frontier indices, (b) never mutates scalar attributes,
-        and (c) makes a fixed sequence of send/aggregate calls — so
-        running it on contiguous frontier slices in separate processes
-        and merging in slice order is bit-identical to one call.  The
-        engine only shards programs that set this.
     """
 
     bulk_combine: str | None = None
     bulk_master_hook: bool = False
-    shard_safe: bool = False
 
     def compute_bulk(
         self,
@@ -446,20 +437,6 @@ class BulkVertexContext:
         """Read the previous superstep's global sum."""
         return self._agg_prev.get(name, default)
 
-    def aggregate_bulk(self, name: str, values: np.ndarray) -> None:
-        """Contribute an array of values to a global sum, folded
-        strictly left to right.
-
-        Equivalent to ``aggregate(name, sequential_sum(values))`` — but
-        programs should prefer this form: handing the engine the raw
-        array lets the sharded path defer the fold until the shards'
-        contributions are concatenated in frontier order, keeping the
-        float result bit-identical at any shard count.
-        """
-        values = np.asarray(values)
-        if values.size:
-            self.aggregate(name, sequential_sum(values))
-
     # -- engine internals ----------------------------------------------
 
     def _take_active(self) -> np.ndarray:
@@ -479,10 +456,10 @@ class VertexCentricEngine:
     """Synchronous BSP executor for :class:`VertexProgram` instances.
 
     ``mode`` selects the execution path: ``"auto"`` (default) takes the
-    vectorized bulk-frontier path whenever the program implements it and
-    the profile's ``bulk_frontier`` flag allows, ``"bulk"`` forces it
-    (raising :class:`~repro.errors.PlatformError` for scalar-only
-    programs), and ``"scalar"`` forces the per-vertex path.
+    vectorized bulk-frontier path whenever the program implements it,
+    ``"bulk"`` forces it (raising :class:`~repro.errors.PlatformError`
+    for scalar-only programs), and ``"scalar"`` forces the per-vertex
+    path.
     """
 
     def __init__(
@@ -493,7 +470,6 @@ class VertexCentricEngine:
         profile: PlatformProfile,
         *,
         mode: str = "auto",
-        intra_jobs: int = 1,
     ) -> None:
         if mode not in ("auto", "bulk", "scalar"):
             raise PlatformError(
@@ -504,7 +480,6 @@ class VertexCentricEngine:
         self.recorder = recorder
         self.profile = profile
         self.mode = mode
-        self.intra_jobs = intra_jobs
         self.last_path: str | None = None
         self._part = partition.owner
         self._part_sizes = partition.sizes().astype(np.float64)
@@ -536,22 +511,14 @@ class VertexCentricEngine:
                 )
             use_bulk = True
         else:
-            use_bulk = bulk_capable and self.profile.bulk_frontier
+            use_bulk = bulk_capable
         self.last_path = "bulk" if use_bulk else "scalar"
-        shard_jobs = self._shard_jobs(program, scripted) if use_bulk else 1
         with get_tracer().span(
             f"vertex-centric/{type(program).__name__}",
             category="engine",
             path=self.last_path,
         ):
             if use_bulk:
-                if shard_jobs > 1:
-                    from repro.platforms.parallel.vertex import (
-                        run_bulk_sharded,
-                    )
-                    return run_bulk_sharded(
-                        self, program, max_supersteps, shard_jobs
-                    )
                 return self._run_bulk(program, max_supersteps)
             return self._run_scalar(program, max_supersteps, scripted)
 
@@ -573,9 +540,8 @@ class VertexCentricEngine:
         messages, skipping ``setup`` by default so program state (ranks,
         distances, labels) carries over from the previous window.  An
         empty seed quiesces before the first superstep, so an
-        all-duplicate batch prices as zero supersteps.  Always runs
-        in-process on the bulk path — warm state is per-process, so the
-        sharded path is never taken.
+        all-duplicate batch prices as zero supersteps.  Always runs on
+        the bulk path.
         """
         if not isinstance(program, BulkVertexProgram):
             raise PlatformError(
@@ -600,27 +566,6 @@ class VertexCentricEngine:
                 initial_inbox=inbox,
                 start_superstep=start_superstep,
             )
-
-    def _shard_jobs(self, program: VertexProgram, scripted) -> int:
-        """Shard count for this run: >1 only when the program declares
-        ``shard_safe``, nothing forces superstep-global state (scripts,
-        master hooks, fault injection), and the slot budget grants more
-        than one process.  Falling back to 1 keeps the in-process bulk
-        path — same results, same ``last_path``."""
-        if (
-            not getattr(program, "shard_safe", False)
-            or scripted is not None
-            or getattr(program, "before_superstep", None) is not None
-            or self.recorder.faults is not None
-        ):
-            return 1
-        from repro.platforms.parallel.config import effective_intra_jobs
-
-        jobs = min(
-            effective_intra_jobs(self.intra_jobs),
-            max(1, self.graph.num_vertices),
-        )
-        return jobs if jobs >= 2 else 1
 
     # ------------------------------------------------------------------
     # Scalar path

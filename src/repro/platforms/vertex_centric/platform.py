@@ -99,8 +99,7 @@ class VertexCentricPlatform(Platform):
         # through the vectorized bulk-frontier path; SCALAR/BULK force
         # one path (the parity tests diff the two).
         engine = VertexCentricEngine(
-            graph, partition, recorder, self.profile,
-            mode=options.mode.value, intra_jobs=options.intra_jobs,
+            graph, partition, recorder, self.profile, mode=options.mode.value
         )
         profile = self.profile
 

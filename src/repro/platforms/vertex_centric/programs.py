@@ -27,6 +27,7 @@ from repro.platforms.vertex_centric.engine import (
     BulkVertexProgram,
     VertexContext,
     VertexProgram,
+    sequential_sum,
 )
 
 __all__ = [
@@ -54,7 +55,6 @@ class PageRankProgram(BulkVertexProgram):
 
     combine = staticmethod(lambda a, b: a + b)
     bulk_combine = "sum"
-    shard_safe = True
 
     def __init__(self, *, damping: float = 0.85, iterations: int = 10) -> None:
         self.damping = damping
@@ -108,7 +108,9 @@ class PageRankProgram(BulkVertexProgram):
                 )
             dangling_v = frontier[degrees == 0]
             if dangling_v.size:
-                ctx.aggregate_bulk("dangling", self.ranks[dangling_v])
+                ctx.aggregate(
+                    "dangling", sequential_sum(self.ranks[dangling_v])
+                )
             ctx.activate_bulk(frontier)
 
 
@@ -120,8 +122,6 @@ class LabelPropagationProgram(BulkVertexProgram):
     vertices is done in the RDD reduce (Section 8.2), while platforms
     that merge into a local table pay ~1.
     """
-
-    shard_safe = True
 
     def __init__(self, *, iterations: int = 10, hash_merge_factor: float = 1.0) -> None:
         self.iterations = iterations
@@ -209,7 +209,6 @@ class SSSPProgram(BulkVertexProgram):
 
     combine = staticmethod(min)
     bulk_combine = "min"
-    shard_safe = True
 
     def __init__(self, source: int = 0) -> None:
         self.source = source
@@ -281,7 +280,6 @@ class WCCHashMinProgram(BulkVertexProgram):
 
     combine = staticmethod(min)
     bulk_combine = "min"
-    shard_safe = True
 
     def __init__(self) -> None:
         self.labels: np.ndarray | None = None

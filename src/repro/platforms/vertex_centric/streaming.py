@@ -102,10 +102,6 @@ class DeltaPageRankProgram(PageRankProgram):
     re-broadcast a corrective delta to *all* their neighbours.
     """
 
-    # Warm per-vertex state (last_sent) lives in one process; the
-    # sharded bulk path must not split it.
-    shard_safe = False
-
     def __init__(self, *, damping: float = 0.85, prune: float = 1e-9) -> None:
         super().__init__(damping=damping, iterations=0)
         self.prune = prune
@@ -170,10 +166,6 @@ class DeltaLabelPropagationProgram(LabelPropagationProgram):
     setting; label oscillation (possible in synchronous LPA) therefore
     cannot loop forever.
     """
-
-    # Pull-mode reads neighbour labels across the whole array; keep the
-    # run in one process.
-    shard_safe = False
 
     def compute(self, v, messages, ctx) -> None:  # pragma: no cover
         raise PlatformError(

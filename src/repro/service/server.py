@@ -241,7 +241,6 @@ class BenchmarkService:
                     str(store.root) if store is not None else None,
                     dataset_cache_info().maxsize,
                     get_dataset_format(),
-                    self._jobs,
                 ),
             )
         else:

@@ -1,12 +1,10 @@
-"""Tests for the repro.api facade, the deprecation shims, and the
-pool-fallback warning."""
+"""Tests for the repro.api facade and the pool-fallback warning."""
 
 import warnings
 
 import pytest
 
 import repro.api as api
-import repro.bench
 from repro.bench.runner import clear_case_cache
 from repro.errors import SchemaError, ServiceError
 from repro.service.schema import SubmitRequest, outcome_fingerprint
@@ -83,28 +81,6 @@ class TestFacade:
 
 
 class TestDeprecationShims:
-    def test_run_case_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.run_sync"):
-            outcome = repro.bench.run_case(
-                "Flash", "pr", "S8-Std", scale_divisor=20000
-            )
-        assert outcome.status == "ok"
-
-    def test_run_cases_shim_warns_and_delegates(self):
-        from repro.bench.runner import CaseSpec
-
-        specs = [CaseSpec.make("Flash", "pr", "S8-Std", scale_divisor=20000)]
-        with pytest.warns(DeprecationWarning, match="submit/gather"):
-            outcomes = repro.bench.run_cases(specs, jobs=1)
-        assert outcomes[0].status == "ok"
-
-    def test_run_grid_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning):
-            outcomes = repro.bench.run_grid(
-                ["Flash"], ["pr"], ["S8-Std"], scale_divisor=20000
-            )
-        assert len(outcomes) == 1
-
     def test_submodule_entry_points_do_not_warn(self):
         from repro.bench.pool import run_cases
         from repro.bench.runner import CaseSpec, run_case
@@ -123,11 +99,10 @@ class TestPoolFallbackSurfaced:
         from repro import obs
         from repro.bench import pool
         from repro.bench.runner import CaseSpec
-        from repro.platforms.parallel import config as pconfig
 
         # Pretend we are inside a pool worker; any real pool here would
         # be a bug, so poison the executor.
-        monkeypatch.setattr(pconfig, "_POOL_WIDTH", 2)
+        monkeypatch.setattr(pool, "_IN_POOL_WORKER", True)
         monkeypatch.setattr(
             pool, "ProcessPoolExecutor",
             lambda *a, **k: pytest.fail("nested pool was created"),

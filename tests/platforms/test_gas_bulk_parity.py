@@ -8,8 +8,6 @@ placement tests pin down the greedy vertex-cut's invariants on small
 hand-checked graphs.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -111,8 +109,8 @@ class TestGASPathParity:
 
 
 class TestGASPathSelection:
-    def _engine(self, graph, mode="auto", profile=None):
-        profile = profile or get_profile("PowerGraph")
+    def _engine(self, graph, mode="auto"):
+        profile = get_profile("PowerGraph")
         placement = EdgePlacement(graph, NUM_PARTS)
         recorder = TraceRecorder(NUM_PARTS)
         return EdgeCentricEngine(
@@ -127,14 +125,6 @@ class TestGASPathSelection:
     def test_auto_falls_back_for_scalar_only_program(self):
         engine = self._engine(RANDOM)
         engine.run(BFSGAS(source=0), max_iterations=300)
-        assert engine.last_path == "scalar"
-
-    def test_profile_flag_pins_scalar(self):
-        profile = dataclasses.replace(
-            get_profile("PowerGraph"), bulk_frontier=False
-        )
-        engine = self._engine(RANDOM, profile=profile)
-        engine.run(PageRankGAS(iterations=2))
         assert engine.last_path == "scalar"
 
     def test_forced_bulk_rejects_scalar_only_program(self):
