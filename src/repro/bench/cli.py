@@ -280,20 +280,13 @@ def _dynamic(args) -> None:
     rows = []
     for algorithm in STREAM_ALGORITHMS:
         report = run_dynamic_case(
-            algorithm,
-            num_batches=batches,
-            batch_edges=batch_edges,
-            platform_cases=True,
-        )
-        platform_s = sum(
-            s for t, s in report.platform_case_seconds.items() if t > 0
+            algorithm, num_batches=batches, batch_edges=batch_edges
         )
         rows.append([
             algorithm.upper(),
             len(report.windows) - 1,
             round(report.incremental_seconds, 3),
             round(report.recompute_seconds, 3),
-            round(platform_s, 3),
             round(report.speedup, 1),
             report.windows[-1].parity,
         ])
@@ -301,8 +294,8 @@ def _dynamic(args) -> None:
         "WGB-style dynamic workload: PEval/IncEval vs per-window "
         f"recompute ({batches} windows x {batch_edges} edges, "
         "bulk-loaded FFT-DG stream)",
-        ["Algo", "Windows", "IncEval (s)", "Recompute (s)",
-         "run_cases (s)", "Speedup", "Parity"],
+        ["Algo", "Windows", "IncEval (s)", "Recompute (s)", "Speedup",
+         "Parity"],
         rows,
     )]
     crash = crash_replay_case(
@@ -516,15 +509,6 @@ def main(argv: list[str] | None = None) -> int:
              "$REPRO_DATASET_CACHE_SIZE or 32)",
     )
     parser.add_argument(
-        "--dataset-format",
-        choices=["memory", "mmap"],
-        default=None,
-        help="dataset container format: 'memory' (default) builds "
-             "graphs in RAM, 'mmap' generates them to on-disk CSR in "
-             "bounded memory and serves numpy.memmap views "
-             "(bit-identical outcomes; see docs/scaling.md)",
-    )
-    parser.add_argument(
         "--dynamic-batches",
         type=int,
         default=None,
@@ -553,13 +537,6 @@ def main(argv: list[str] | None = None) -> int:
         help="serve: TCP port to bind (default 8642; 0 = ephemeral)",
     )
     parser.add_argument(
-        "--serve-mode",
-        choices=["thread", "process"],
-        default="thread",
-        help="serve: case executor mode (default thread; process uses "
-             "pool workers)",
-    )
-    parser.add_argument(
         "--memory-budget",
         type=float,
         default=None,
@@ -585,7 +562,6 @@ def main(argv: list[str] | None = None) -> int:
                 "cache_dir": args.cache_dir,
                 "no_cache": args.no_cache,
                 "dataset_cache_size": args.dataset_cache_size,
-                "dataset_format": args.dataset_format,
                 "trace": args.trace,
                 "dynamic_batches": args.dynamic_batches,
                 "dynamic_batch_edges": args.dynamic_batch_edges,
@@ -629,7 +605,6 @@ def _serve(args, profile) -> int:
     asyncio.run(
         run_service(
             jobs=profile.jobs,
-            mode=args.serve_mode,
             host=args.host,
             port=args.port,
             memory_budget_bytes=args.memory_budget,
@@ -646,12 +621,11 @@ def _configure_harness(profile):
     ``None``) so :func:`main` can print its stats line and uninstall it.
     """
     from repro.bench import pool, store as store_mod
-    from repro.datagen.catalog import set_dataset_cache_size, set_dataset_format
+    from repro.datagen.catalog import set_dataset_cache_size
 
     pool.set_default_jobs(profile.jobs)
     if profile.dataset_cache_size is not None:
         set_dataset_cache_size(profile.dataset_cache_size)
-    set_dataset_format(profile.dataset_format)
     store = None
     if profile.no_cache:
         # Also drop any ambient store installed by embedding code: the
@@ -661,23 +635,12 @@ def _configure_harness(profile):
     elif profile.cache_dir:
         store = store_mod.ArtifactStore(profile.cache_dir)
         store_mod.set_artifact_store(store)
-    elif profile.dataset_format == "mmap":
-        # mmap shipping needs a store the pool workers share, so each
-        # dataset is generated once and mmapped everywhere; without
-        # --cache-dir, use a fresh run-scoped directory.
-        import tempfile
-
-        store = store_mod.ArtifactStore(
-            tempfile.mkdtemp(prefix="repro-bench-store-")
-        )
-        store_mod.set_artifact_store(store)
     return store
 
 
 def _teardown_harness(store) -> None:
     """Print cache stats, then restore the sequential no-store defaults."""
     from repro.bench import pool, store as store_mod
-    from repro.datagen.catalog import set_dataset_format
 
     if store is not None:
         stats = store.stats()
@@ -688,7 +651,6 @@ def _teardown_harness(store) -> None:
         )
         store_mod.set_artifact_store(None)
     pool.set_default_jobs(1)
-    set_dataset_format("memory")
 
 
 def _dispatch(args) -> int:

@@ -2,7 +2,7 @@
 
 One shared implementation behind ``repro-bench dynamic``, the
 ``benchmarks/bench_dynamic_workload.py`` grid, and the CI smoke tool
-(``tools/dynamic_smoke.py``).  A run compares three ways of keeping an
+(``tools/dynamic_smoke.py``).  A run compares two ways of keeping an
 algorithm's result current over a :class:`~repro.datagen.dynamic`
 edge-insertion stream:
 
@@ -11,12 +11,7 @@ edge-insertion stream:
   algorithm: PEval on window 0, IncEval from the delta frontier after
   every batch;
 * **recompute** — a cold run of the *same* program on every window's
-  snapshot (the fair baseline: same convergence criterion, same engine);
-* **platform cases** — the window snapshots registered as ``Dyn-``
-  catalog datasets and executed as ordinary benchmark cases through
-  :func:`~repro.bench.pool.run_cases`, so the recompute legs share the
-  harness's pooling, memoization, and persistent store like any other
-  grid.
+  snapshot (the fair baseline: same convergence criterion, same engine).
 
 Every window also checks result parity between the warm and cold paths:
 WCC and SSSP must match bit-exactly, delta PageRank within a certified
@@ -27,11 +22,11 @@ stability of its converged labelling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from repro.bench.runner import CaseSpec
-from repro.datagen.catalog import dynamic_dataset_name, dynamic_stream
+from repro.datagen.dynamic import generate_stream
 from repro.errors import BenchmarkError
 from repro.faults.schedule import EMPTY_SCHEDULE, FaultSchedule, MachineCrash
 from repro.platforms.vertex_centric.streaming import (
@@ -45,6 +40,7 @@ __all__ = [
     "PR_PARITY_ATOL",
     "WindowRow",
     "DynamicReport",
+    "dynamic_stream",
     "run_dynamic_case",
     "crash_replay_case",
     "lpa_is_stable",
@@ -63,9 +59,18 @@ DEFAULT_PRUNE = 1e-7
 #: measured max abs error and fails if it exceeds this.
 PR_PARITY_ATOL = 1e-5
 
-#: Platform whose personality executes the ``Dyn-`` snapshot cases (the
-#: vertex-centric engine the streaming session itself runs on).
-PLATFORM = "Flash"
+
+@lru_cache(maxsize=4)
+def dynamic_stream(num_vertices: int, batch_edges: int):
+    """The experiment's memoized edge-insertion stream.
+
+    90 % of the edges are bulk-loaded into window 0 (the PEval load);
+    the rest trickle in ``batch_edges``-edge windows.  Every algorithm's
+    session and recompute baseline iterate the same object, so its
+    memoized snapshots are built once per grid."""
+    return generate_stream(
+        num_vertices, edges_per_batch=batch_edges, bulk_load=0.9, seed=3
+    )
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,6 @@ class DynamicReport:
     num_vertices: int
     batch_edges: int
     windows: list[WindowRow] = field(default_factory=list)
-    platform_case_seconds: dict[int, float] = field(default_factory=dict)
     fingerprint: str = ""
 
     @property
@@ -167,7 +171,6 @@ def run_dynamic_case(
     batch_edges: int = 50,
     num_batches: int = 8,
     prune: float = DEFAULT_PRUNE,
-    platform_cases: bool = False,
     fault_schedule: FaultSchedule = EMPTY_SCHEDULE,
 ) -> DynamicReport:
     """Stream ``num_batches`` incremental windows and compare strategies.
@@ -175,9 +178,7 @@ def run_dynamic_case(
     Window 0 (the bulk load) runs PEval; each of the following
     ``num_batches`` windows runs IncEval on the warm session *and* a
     cold recompute of the same program on the window's snapshot, with a
-    parity check between the two results.  With ``platform_cases`` the
-    snapshots additionally run as ``Dyn-`` benchmark cases through
-    :func:`~repro.bench.pool.run_cases` (pool- and store-aware).
+    parity check between the two results.
     """
     if algorithm not in STREAM_ALGORITHMS:
         raise BenchmarkError(
@@ -216,37 +217,7 @@ def run_dynamic_case(
             max_abs_err=err,
         ))
     report.fingerprint = session.result_fingerprint()
-    if platform_cases:
-        report.platform_case_seconds = _run_platform_cases(
-            algorithm, num_vertices, batch_edges, windows
-        )
     return report
-
-
-def _run_platform_cases(
-    algorithm: str, num_vertices: int, batch_edges: int, windows: int
-) -> dict[int, float]:
-    """Run each window snapshot as an ordinary benchmark case."""
-    from repro.bench.pool import run_cases
-
-    specs = [
-        CaseSpec.make(
-            PLATFORM,
-            algorithm,
-            dynamic_dataset_name(num_vertices, batch_edges, t),
-        )
-        for t in range(windows)
-    ]
-    outcomes = run_cases(specs)
-    seconds: dict[int, float] = {}
-    for t, outcome in enumerate(outcomes):
-        if outcome.status != "ok":
-            raise BenchmarkError(
-                f"platform case {specs[t].dataset} failed: "
-                f"{outcome.status} {outcome.detail}"
-            )
-        seconds[t] = outcome.result.priced.seconds
-    return seconds
 
 
 def crash_replay_case(

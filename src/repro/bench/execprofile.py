@@ -1,12 +1,11 @@
 """Execution profiles: one config object for the harness's runtime knobs.
 
 ``repro-bench`` grew its execution flags one PR at a time — ``--jobs``,
-``--cache-dir``, ``--no-cache``, ``--dataset-cache-size``,
-``--dataset-format``, ``--trace`` — and every
-entry point (CLI, service, benchmarks, CI smoke tools) re-assembled the
-same knobs by hand.  :class:`ExecutionProfile` consolidates them into a
-single frozen value object with **one** precedence rule, applied by
-:func:`resolve_profile`:
+``--cache-dir``, ``--no-cache``, ``--dataset-cache-size``, ``--trace`` —
+and every entry point (CLI, service, benchmarks, CI smoke tools)
+re-assembled the same knobs by hand.  :class:`ExecutionProfile`
+consolidates them into a single frozen value object with **one**
+precedence rule, applied by :func:`resolve_profile`:
 
     CLI flags  >  ``REPRO_*`` environment variables  >  profile file  >  defaults
 
@@ -17,7 +16,7 @@ Profile files are TOML (stdlib :mod:`tomllib`), either flat or under an
     [execution]
     jobs = 8
     cache-dir = "benchmarks/cache"
-    dataset-format = "mmap"
+    dataset-cache-size = 8
 
 Keys may use dashes or underscores.  Unknown keys raise
 :class:`~repro.errors.ExecutionProfileError` — a typo'd knob should
@@ -39,8 +38,6 @@ __all__ = ["ExecutionProfile", "load_profile", "resolve_profile", "ENV_PREFIX"]
 #: prefix: ``REPRO_JOBS``, ``REPRO_CACHE_DIR``, ``REPRO_TRACE``, …
 ENV_PREFIX = "REPRO_"
 
-_DATASET_FORMATS = ("memory", "mmap")
-
 
 @dataclass(frozen=True)
 class ExecutionProfile:
@@ -55,7 +52,6 @@ class ExecutionProfile:
       cache directory exists.
     * ``dataset_cache_size`` — in-process dataset LRU size (``None`` =
       library default).
-    * ``dataset_format`` — ``"memory"`` or ``"mmap"`` container format.
     * ``trace`` — trace-export path (``None`` = tracing off).
     * ``dynamic_batches`` — incremental windows per dynamic-workload
       stream (``repro-bench dynamic``).
@@ -67,7 +63,6 @@ class ExecutionProfile:
     cache_dir: str | None = None
     no_cache: bool = False
     dataset_cache_size: int | None = None
-    dataset_format: str = "memory"
     trace: str | None = None
     dynamic_batches: int = 8
     dynamic_batch_edges: int = 50
@@ -78,15 +73,10 @@ class ExecutionProfile:
             raise ExecutionProfileError(
                 f"jobs must be >= 1, got {self.jobs}"
             )
-        if self.dataset_cache_size is not None and self.dataset_cache_size < 0:
+        if self.dataset_cache_size is not None and self.dataset_cache_size < 1:
             raise ExecutionProfileError(
-                "dataset-cache-size must be >= 0, got "
+                "dataset-cache-size must be >= 1, got "
                 f"{self.dataset_cache_size}"
-            )
-        if self.dataset_format not in _DATASET_FORMATS:
-            raise ExecutionProfileError(
-                f"dataset-format must be one of {_DATASET_FORMATS}, "
-                f"got {self.dataset_format!r}"
             )
         if self.dynamic_batches < 1:
             raise ExecutionProfileError(

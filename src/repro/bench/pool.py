@@ -65,7 +65,7 @@ def get_default_jobs() -> int:
     return _DEFAULT_JOBS
 
 
-#: Set by :func:`_worker_init` in every pool (and service) worker;
+#: Set by :func:`_worker_init` in every pool worker;
 #: :func:`run_cases` reads it to refuse nested pools.
 _IN_POOL_WORKER = False
 
@@ -115,21 +115,13 @@ class WorkerReport:
     store_stats: tuple[tuple[str, int], ...] = ()
 
 
-def _worker_init(
-    store_root: str | None,
-    cache_size: int | None,
-    dataset_format: str = "memory",
-) -> None:
+def _worker_init(store_root: str | None, cache_size: int | None) -> None:
     """Initializer run once per worker process.
 
-    Re-installs the persistent store, the dataset-cache size, and the
-    dataset container format so the pool behaves identically under every
-    multiprocessing start method (``fork`` workers inherit the globals
-    anyway; ``spawn``/``forkserver`` workers would not).  Propagating
-    the format is what makes mmap shipping zero-copy: each worker
-    resolves datasets through the shared store's ``dataset_csr_path``
-    and opens the one on-disk CSR file read-only, instead of unpickling
-    a private in-RAM copy.
+    Re-installs the persistent store and the dataset-cache size so the
+    pool behaves identically under every multiprocessing start method
+    (``fork`` workers inherit the globals anyway; ``spawn``/``forkserver``
+    workers would not).
 
     The process is also marked as a pool worker, so nested
     :func:`run_cases` calls refuse to open a second pool.
@@ -142,9 +134,6 @@ def _worker_init(
         from repro.datagen.catalog import set_dataset_cache_size
 
         set_dataset_cache_size(cache_size)
-    from repro.datagen.catalog import set_dataset_format
-
-    set_dataset_format(dataset_format)
 
 
 def _run_spec(spec: CaseSpec, traced: bool) -> WorkerReport:
@@ -270,17 +259,16 @@ def run_cases(
     tracer = get_tracer()
     store = get_artifact_store()
     store_root = str(store.root) if store is not None else None
-    from repro.datagen.catalog import dataset_cache_info, get_dataset_format
+    from repro.datagen.catalog import dataset_cache_info
 
     cache_size = dataset_cache_info().maxsize
-    dataset_format = get_dataset_format()
     outcomes: dict[CaseSpec, CaseOutcome] = {}
     with tracer.span("pool", category="pool", jobs=jobs,
                      cases=len(unique)):
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(unique)),
             initializer=_worker_init,
-            initargs=(store_root, cache_size, dataset_format),
+            initargs=(store_root, cache_size),
         ) as executor:
             futures = []
             for spec in unique:

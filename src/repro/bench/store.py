@@ -207,23 +207,6 @@ class ArtifactStore:
         """Dataset half of the catalog's persistence hooks."""
         self.put("dataset", payload, instance)
 
-    def dataset_csr_path(self, payload: tuple) -> Path:
-        """Content-addressed location for a dataset's on-disk CSR file.
-
-        Same addressing discipline as the pickle entries (payload +
-        :data:`STORE_VERSION` → SHA-256), but a distinct ``dataset-csr``
-        kind and a ``.csr`` suffix so the mmap-format files sit beside —
-        never collide with — the pickled instances.  Pool workers resolve
-        the same payload to the same path and ``mmap`` the one file
-        zero-copy instead of unpickling per process.  The file itself is
-        written atomically by
-        :func:`repro.core.mmapcsr.CSRStreamWriter.finalize`.
-        """
-        key = canonical_key("dataset-csr", payload)
-        path = self.root / "dataset-csr" / key[:2] / f"{key}.csr"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
-
 
 _STORE: ArtifactStore | None = None
 

@@ -5,9 +5,7 @@ This is the out-of-core twin of :class:`repro.core.graph.Graph`: the same
 flat file so a graph can be *opened* instead of *loaded* — the arrays are
 memory-mapped read-only and the OS pages edge blocks in on demand.  The
 sharded FFT-DG generator (:mod:`repro.datagen.shards`) streams directly
-into this format, and the bench harness ships datasets to pool workers as
-a path into the artifact store rather than a pickle
-(``repro-bench --dataset-format mmap``).
+into this format.
 
 File layout (little-endian, offsets in bytes)
 ---------------------------------------------

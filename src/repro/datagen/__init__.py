@@ -54,9 +54,7 @@ from repro.datagen.catalog import (
     clear_dataset_cache,
     dataset_cache_info,
     dataset_names,
-    get_dataset_format,
     set_dataset_cache_size,
-    set_dataset_format,
     set_dataset_persistence,
 )
 
@@ -98,8 +96,6 @@ __all__ = [
     "dataset_names",
     "set_dataset_cache_size",
     "set_dataset_persistence",
-    "set_dataset_format",
-    "get_dataset_format",
     "OutOfCoreGeneration",
     "generate_fft_to_disk",
     "count_unique_edges",

@@ -15,7 +15,6 @@ entry for the EXPERIMENTS.md paper-vs-measured comparison.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Protocol
@@ -26,8 +25,7 @@ from repro.datagen.fft import (
     calibrate_alpha,
     groups_for_diameter,
 )
-from repro.datagen.base import GenerationResult, TrialCounter
-from repro.datagen.shards import count_unique_edges, generate_fft_to_disk
+from repro.datagen.base import GenerationResult
 from repro.errors import GeneratorParameterError
 from repro.obs import DATASET_CACHE_HITS, DATASET_CACHE_MISSES, get_tracer
 
@@ -35,19 +33,13 @@ __all__ = [
     "DatasetSpec",
     "DatasetInstance",
     "DATASETS",
-    "DATASET_FORMATS",
     "dataset_names",
     "build_dataset",
     "clear_dataset_cache",
     "dataset_cache_info",
     "set_dataset_cache_size",
-    "set_dataset_format",
-    "get_dataset_format",
     "set_dataset_persistence",
     "DatasetPersistence",
-    "dynamic_dataset_name",
-    "dynamic_stream",
-    "DYNAMIC_DATASET_PREFIX",
 ]
 
 #: Default down-scaling factor from the paper's vertex counts.
@@ -61,12 +53,6 @@ CACHE_SIZE_ENV = "REPRO_DATASET_CACHE_SIZE"
 #: Default in-process cache size when neither the env var nor the
 #: runtime knob overrides it.
 DEFAULT_CACHE_SIZE = 32
-
-#: Supported dataset container formats: ``"memory"`` builds (or
-#: unpickles) the whole graph in RAM, ``"mmap"`` generates to on-disk
-#: CSR in bounded memory and opens it via ``numpy.memmap``
-#: (``repro-bench --dataset-format mmap``; see docs/scaling.md).
-DATASET_FORMATS = ("memory", "mmap")
 
 #: Default down-scaling factor for mean degree.  The paper's datasets have
 #: mean degrees of 85–265, which at reproduction scale would make the
@@ -147,105 +133,6 @@ def dataset_names() -> list[str]:
     return list(DATASETS)
 
 
-# ---------------------------------------------------------------------------
-# Dynamic-stream snapshot datasets (the recompute legs of `repro-bench
-# dynamic` run as ordinary benchmark cases through run_cases)
-# ---------------------------------------------------------------------------
-
-#: Names matching ``Dyn-<n>x<batch>@<window>`` resolve to window
-#: ``<window>``'s snapshot of the deterministic dynamic stream over an
-#: ``<n>``-vertex FFT-DG graph with ``<batch>``-edge incremental windows
-#: (bulk-loaded front, :data:`DYNAMIC_BULK_LOAD`).
-DYNAMIC_DATASET_PREFIX = "Dyn-"
-
-#: Fraction of the stream's edges folded into window 0 (the PEval bulk
-#: load); the remaining edges trickle in ``<batch>``-edge windows.
-DYNAMIC_BULK_LOAD = 0.9
-
-#: Stream seed shared by the streaming sessions and these snapshots, so a
-#: session and a ``Dyn-`` case see bit-identical graphs.
-DYNAMIC_STREAM_SEED = 3
-
-_DYNAMIC_NAME = re.compile(r"^Dyn-(\d+)x(\d+)@(\d+)$")
-
-
-def dynamic_dataset_name(
-    num_vertices: int, batch_edges: int, window: int
-) -> str:
-    """The catalog name of one dynamic-stream snapshot."""
-    return f"Dyn-{num_vertices}x{batch_edges}@{window}"
-
-
-@lru_cache(maxsize=4)
-def _dynamic_stream(num_vertices: int, batch_edges: int):
-    from repro.datagen.dynamic import generate_stream
-
-    return generate_stream(
-        num_vertices,
-        edges_per_batch=batch_edges,
-        bulk_load=DYNAMIC_BULK_LOAD,
-        seed=DYNAMIC_STREAM_SEED,
-    )
-
-
-def dynamic_stream(num_vertices: int, batch_edges: int):
-    """The memoized stream behind the ``Dyn-`` snapshot datasets.
-
-    Streaming sessions iterate this stream's batches while their
-    recompute baselines run as ordinary ``Dyn-`` benchmark cases — both
-    sides see bit-identical graphs because they share this object (and
-    its memoized snapshots)."""
-    return _dynamic_stream(num_vertices, batch_edges)
-
-
-def _build_dynamic(name: str) -> DatasetInstance:
-    match = _DYNAMIC_NAME.match(name)
-    if match is None:
-        raise GeneratorParameterError(
-            f"malformed dynamic dataset name {name!r}; expected "
-            "Dyn-<vertices>x<batch_edges>@<window>"
-        )
-    n, batch_edges, window = map(int, match.groups())
-    if n < 1 or batch_edges < 1:
-        raise GeneratorParameterError(
-            f"dynamic dataset {name!r} needs positive vertex and batch "
-            "counts"
-        )
-    stream = _dynamic_stream(n, batch_edges)
-    if window >= len(stream):
-        raise GeneratorParameterError(
-            f"dynamic dataset {name!r}: window {window} out of range "
-            f"[0, {len(stream)})"
-        )
-    graph = stream.snapshot(window)
-    density = (
-        2.0 * graph.num_edges / (n * (n - 1)) if n > 1 else 0.0
-    )
-    spec = DatasetSpec(
-        name=name,
-        scale="dyn",
-        variant="Stream",
-        paper_vertices=n,
-        paper_edges=graph.num_edges,
-        paper_density=density,
-        paper_diameter=0,
-        alpha=20.0,
-    )
-    result = GenerationResult(
-        graph=graph,
-        counter=TrialCounter(),
-        elapsed_seconds=0.0,
-        parameters={
-            "window": window,
-            "batch_edges": batch_edges,
-            "bulk_load": DYNAMIC_BULK_LOAD,
-        },
-    )
-    return DatasetInstance(
-        spec=spec, result=result, scale_divisor=1, seed=DYNAMIC_STREAM_SEED
-    )
-
-
 class DatasetPersistence(Protocol):
     """What the catalog needs from a persistent dataset layer.
 
@@ -253,14 +140,6 @@ class DatasetPersistence(Protocol):
     (:class:`repro.bench.store.ArtifactStore`) implements this; the
     catalog itself stays storage-agnostic — ``datagen`` must not import
     ``bench``.
-
-    A persistence layer *may* additionally expose
-    ``dataset_csr_path(payload) -> os.PathLike`` — a stable
-    content-addressed location for the dataset's on-disk CSR file.  The
-    mmap dataset format uses it to resolve datasets to shard files that
-    pool workers open zero-copy instead of unpickling; layers without it
-    fall back to a per-process scratch directory (no cross-process
-    sharing).
     """
 
     def load_dataset(self, payload: tuple) -> DatasetInstance | None:
@@ -289,39 +168,6 @@ def set_dataset_persistence(
     return previous
 
 
-#: Active dataset container format (see :data:`DATASET_FORMATS`).
-_DATASET_FORMAT = "memory"
-
-#: Per-process scratch directory for CSR files when the persistence layer
-#: does not provide ``dataset_csr_path`` (created lazily, one per process).
-_FALLBACK_CSR_DIR: str | None = None
-
-
-def set_dataset_format(fmt: str) -> str:
-    """Select the dataset container format; returns the previous one.
-
-    ``"memory"`` (the default) is the historical in-RAM path.  ``"mmap"``
-    generates datasets shard-by-shard to an on-disk CSR file in bounded
-    memory and serves a ``numpy.memmap``-backed graph — both formats
-    produce bit-identical adjacency (see docs/scaling.md).  The format is
-    part of the in-process cache key, so switching never serves a stale
-    container kind.
-    """
-    if fmt not in DATASET_FORMATS:
-        raise GeneratorParameterError(
-            f"unknown dataset format {fmt!r}; choose from {list(DATASET_FORMATS)}"
-        )
-    global _DATASET_FORMAT
-    previous = _DATASET_FORMAT
-    _DATASET_FORMAT = fmt
-    return previous
-
-
-def get_dataset_format() -> str:
-    """The active dataset container format (``"memory"`` or ``"mmap"``)."""
-    return _DATASET_FORMAT
-
-
 def build_dataset(
     name: str,
     *,
@@ -341,11 +187,6 @@ def build_dataset(
     tracing is enabled, in-process hits and misses surface as the
     ``dataset_cache_hits`` / ``dataset_cache_misses`` counters.
     """
-    if name.startswith(DYNAMIC_DATASET_PREFIX):
-        # Dynamic-stream snapshots: served from the stream's own memoized
-        # DeltaCSR cursor (scale/degree divisors and container format do
-        # not apply — the stream defines the graph exactly).
-        return _build_dynamic(name)
     if name not in DATASETS:
         raise GeneratorParameterError(
             f"unknown dataset {name!r}; choose from {dataset_names()}"
@@ -359,11 +200,10 @@ def build_dataset(
             f"degree_divisor must be >= 1, got {degree_divisor}"
         )
     tracer = get_tracer()
-    fmt = _DATASET_FORMAT
     if not tracer.enabled:
-        return _build_cached(name, scale_divisor, degree_divisor, seed, fmt)
+        return _build_cached(name, scale_divisor, degree_divisor, seed)
     hits_before = _build_cached.cache_info().hits
-    instance = _build_cached(name, scale_divisor, degree_divisor, seed, fmt)
+    instance = _build_cached(name, scale_divisor, degree_divisor, seed)
     if _build_cached.cache_info().hits > hits_before:
         tracer.add(DATASET_CACHE_HITS, 1.0)
     else:
@@ -372,11 +212,9 @@ def build_dataset(
 
 
 def _build(
-    name: str, scale_divisor: int, degree_divisor: int, seed: int, fmt: str
+    name: str, scale_divisor: int, degree_divisor: int, seed: int
 ) -> DatasetInstance:
     """Build one dataset, consulting the persistent layer first."""
-    if fmt == "mmap":
-        return _build_mmap(name, scale_divisor, degree_divisor, seed)
     payload = (name, scale_divisor, degree_divisor, seed)
     if _PERSISTENCE is not None:
         stored = _PERSISTENCE.load_dataset(payload)
@@ -388,15 +226,9 @@ def _build(
     return instance
 
 
-def _dataset_config(
-    name: str,
-    scale_divisor: int,
-    degree_divisor: int,
-    seed: int,
-    *,
-    edge_count_fn=None,
-) -> tuple[DatasetSpec, FFTDGConfig]:
-    """Resolve a catalog row to its scaled, calibrated generator config."""
+def _generate(
+    name: str, scale_divisor: int, degree_divisor: int, seed: int
+) -> DatasetInstance:
     spec = DATASETS[name]
     n = spec.scaled_vertices(scale_divisor)
     group_count = 1
@@ -406,93 +238,16 @@ def _dataset_config(
     # preserve the paper's (degree-scaled) mean degree at the reduced
     # vertex count.
     target_degree = max(4.0, spec.paper_mean_degree / degree_divisor)
-    alpha = calibrate_alpha(
-        n,
-        target_degree,
-        group_count=group_count,
-        seed=seed,
-        edge_count_fn=edge_count_fn,
-    )
+    alpha = calibrate_alpha(n, target_degree, group_count=group_count, seed=seed)
     config = FFTDGConfig(
         num_vertices=n,
         alpha=alpha,
         group_count=group_count,
         seed=seed,
     )
-    return spec, config
-
-
-def _generate(
-    name: str, scale_divisor: int, degree_divisor: int, seed: int
-) -> DatasetInstance:
-    spec, config = _dataset_config(name, scale_divisor, degree_divisor, seed)
     result = FFTDG(config).generate()
     return DatasetInstance(
         spec=spec, result=result, scale_divisor=scale_divisor, seed=seed
-    )
-
-
-def _resolve_csr_path(payload: tuple) -> str:
-    """Where the on-disk CSR file for ``payload`` lives.
-
-    Prefers the persistence layer's content-addressed
-    ``dataset_csr_path`` (shared across processes — this is what makes
-    zero-copy pool shipping work); falls back to a per-process scratch
-    directory keyed by the payload fields.
-    """
-    resolver = getattr(_PERSISTENCE, "dataset_csr_path", None)
-    if resolver is not None:
-        return os.fspath(resolver(payload))
-    global _FALLBACK_CSR_DIR
-    if _FALLBACK_CSR_DIR is None:
-        import tempfile
-
-        _FALLBACK_CSR_DIR = tempfile.mkdtemp(prefix="repro-csr-")
-    name, scale_divisor, degree_divisor, seed = payload
-    fname = f"{name}-sd{scale_divisor}-dd{degree_divisor}-s{seed}.csr"
-    return os.path.join(_FALLBACK_CSR_DIR, fname)
-
-
-def _build_mmap(
-    name: str, scale_divisor: int, degree_divisor: int, seed: int
-) -> DatasetInstance:
-    """Out-of-core build: generate to on-disk CSR, serve a memmap view.
-
-    Nothing on this path materializes the full edge set in RAM — alpha
-    calibration counts edges through the sharded pipeline
-    (:func:`~repro.datagen.shards.count_unique_edges`), generation
-    streams shards to disk, and the returned graph's arrays are
-    read-only ``numpy.memmap`` views of the CSR file.  The instance is
-    never pickled into the persistent store; the CSR file *is* the
-    persistent artifact.
-    """
-    from repro.core.mmapcsr import open_graph_csr
-
-    payload = (name, scale_divisor, degree_divisor, seed)
-    path = _resolve_csr_path(payload)
-    if not os.path.exists(path):
-        _, config = _dataset_config(
-            name,
-            scale_divisor,
-            degree_divisor,
-            seed,
-            edge_count_fn=count_unique_edges,
-        )
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        generate_fft_to_disk(config, path)
-    graph, header = open_graph_csr(path)
-    meta = header.get("meta", {})
-    result = GenerationResult(
-        graph=graph,
-        counter=TrialCounter(
-            trials=int(meta.get("trials", 0)),
-            edges=int(meta.get("sampled_edges", 0)),
-        ),
-        elapsed_seconds=float(meta.get("elapsed_seconds", 0.0)),
-        parameters=dict(meta.get("parameters", {})),
-    )
-    return DatasetInstance(
-        spec=DATASETS[name], result=result, scale_divisor=scale_divisor, seed=seed
     )
 
 
@@ -534,4 +289,3 @@ def dataset_cache_info():
 def clear_dataset_cache() -> None:
     """Drop all memoized datasets (tests use this for isolation)."""
     _build_cached.cache_clear()
-    _dynamic_stream.cache_clear()

@@ -23,11 +23,9 @@ Layering (all existing substrates, composed):
   an optional service-wide memory budget, and rejected cases bypass the
   reservation entirely (``run_case`` maps them to the same structured
   failure outcome a direct call returns).
-* **Execution** — a bounded executor: ``mode="thread"`` runs cases
-  in-process (sharing the session memo and ambient store),
-  ``mode="process"`` reuses the PR-5 pool worker machinery
-  (:func:`repro.bench.pool._worker_init` / ``_run_spec``) for real
-  parallelism with worker store-stat fold-back.
+* **Execution** — a bounded thread executor runs cases in-process, so
+  they share the session memo and ambient store and the memo → store →
+  execute lookup order applies with no fold-back bookkeeping.
 * **Observability** — queue depths, in-flight peaks, dedup/admission
   tallies, store/dataset/kernel cache stats, and the tracer's counter
   snapshot, all in :meth:`BenchmarkService.metrics` (the live JSON
@@ -44,11 +42,10 @@ import asyncio
 import json
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.bench.pool import _run_spec as _pool_run_spec
-from repro.bench.pool import _worker_init as _pool_worker_init
-from repro.bench.runner import CaseOutcome, CaseSpec, memoize_outcome
+from repro.bench.runner import CaseOutcome, CaseSpec
 from repro.bench.store import get_artifact_store
 from repro.errors import SchemaError, ServiceError
 from repro.obs import (
@@ -70,16 +67,6 @@ from repro.service.schema import (
 )
 
 __all__ = ["BenchmarkService", "ServiceServer", "run_service"]
-
-
-def _run_spec_inline(spec: CaseSpec) -> CaseOutcome:
-    """Thread-mode execution: ``run_case`` in this process.
-
-    Shares the parent's session memo and ambient artifact store, so the
-    memo → store → execute lookup order applies with no fold-back
-    bookkeeping.
-    """
-    return spec.run()
 
 
 @dataclass
@@ -155,12 +142,7 @@ class BenchmarkService:
     ----------
     jobs:
         Executor width — the maximum number of concurrently executing
-        cases (the slot budget).
-    mode:
-        ``"thread"`` (default) executes in-process worker threads that
-        share the session memo and ambient store; ``"process"`` fans
-        cases over a :class:`~concurrent.futures.ProcessPoolExecutor`
-        initialized exactly like the bench pool's workers.
+        cases (the slot budget); they run on in-process worker threads.
     memory_budget_bytes:
         Optional service-wide cap on the *sum* of in-flight admitted
         working sets (each case's ``_admit()`` charge).  ``None``
@@ -171,26 +153,20 @@ class BenchmarkService:
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`close` explicitly.  All public coroutines must run on the
-    service's event loop; the executor threads/processes never touch
-    service state.
+    service's event loop; the executor threads never touch service
+    state.
     """
 
     def __init__(
         self,
         *,
         jobs: int = 1,
-        mode: str = "thread",
         memory_budget_bytes: float | None = None,
         admission: bool = True,
     ) -> None:
         if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
             raise ServiceError(f"jobs must be an integer >= 1, got {jobs!r}")
-        if mode not in ("thread", "process"):
-            raise ServiceError(
-                f"mode must be 'thread' or 'process', got {mode!r}"
-            )
         self._jobs = jobs
-        self._mode = mode
         self._admission = bool(admission)
         self._byte_gate = (
             None if memory_budget_bytes is None
@@ -225,31 +201,9 @@ class BenchmarkService:
         """Create the executor and start the dispatcher."""
         if self._running:
             raise ServiceError("service already started")
-        if self._mode == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            store = get_artifact_store()
-            from repro.datagen.catalog import (
-                dataset_cache_info,
-                get_dataset_format,
-            )
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._jobs,
-                initializer=_pool_worker_init,
-                initargs=(
-                    str(store.root) if store is not None else None,
-                    dataset_cache_info().maxsize,
-                    get_dataset_format(),
-                ),
-            )
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._jobs,
-                thread_name_prefix="repro-service",
-            )
+        self._executor = ThreadPoolExecutor(
+            max_workers=self._jobs, thread_name_prefix="repro-service"
+        )
         self._slots = asyncio.Semaphore(self._jobs)
         self._wake = asyncio.Event()
         self._running = True
@@ -503,22 +457,7 @@ class BenchmarkService:
                 self.stats["peak_inflight"], self._inflight_count
             )
             self.stats["executions"] += 1
-            if self._mode == "process":
-                report = await loop.run_in_executor(
-                    self._executor, _pool_run_spec, spec, False
-                )
-                outcome = report.outcome
-                memoize_outcome(spec, outcome)
-                store = get_artifact_store()
-                if store is not None and report.store_stats:
-                    delta = dict(report.store_stats)
-                    store.hits += delta.get("hits", 0)
-                    store.misses += delta.get("misses", 0)
-                    store.puts += delta.get("puts", 0)
-            else:
-                outcome = await loop.run_in_executor(
-                    self._executor, _run_spec_inline, spec
-                )
+            outcome = await loop.run_in_executor(self._executor, spec.run)
         finally:
             self._inflight_count -= 1
             if reserved and self._byte_gate is not None:
@@ -606,12 +545,19 @@ class ServiceServer:
         """Serve one client connection, line by line."""
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # Past the stream-reader limit the line's boundary
+                    # is lost and the stream cannot be resynchronised:
+                    # answer once, then hang up.
+                    await _reply(writer, _error_reply(
+                        SchemaError(f"request line too long: {exc}")
+                    ))
+                    break
                 if not line:
                     break
-                response = await self._dispatch_op(line)
-                writer.write(canonical_json(response).encode() + b"\n")
-                await writer.drain()
+                await _reply(writer, await self._dispatch_op(line))
                 if self._shutdown.is_set():
                     break
         finally:
@@ -650,18 +596,33 @@ class ServiceServer:
                 self._shutdown.set()
                 return {**base, "op": op}
             raise SchemaError(f"unknown op {op!r}")
-        except (SchemaError, ServiceError, json.JSONDecodeError) as exc:
-            return {
-                "ok": False,
-                "api_version": API_VERSION,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+        except (
+            SchemaError,
+            ServiceError,
+            json.JSONDecodeError,
+            UnicodeDecodeError,
+        ) as exc:
+            return _error_reply(exc)
+
+
+async def _reply(writer, response: dict) -> None:
+    """Send one canonical-JSON response line."""
+    writer.write(canonical_json(response).encode() + b"\n")
+    await writer.drain()
+
+
+def _error_reply(exc: Exception) -> dict:
+    """The typed error line a rejected request gets."""
+    return {
+        "ok": False,
+        "api_version": API_VERSION,
+        "error": f"{type(exc).__name__}: {exc}",
+    }
 
 
 async def run_service(
     *,
     jobs: int = 1,
-    mode: str = "thread",
     host: str = "127.0.0.1",
     port: int = 8642,
     memory_budget_bytes: float | None = None,
@@ -673,7 +634,7 @@ async def run_service(
     is called with the bound ``(host, port)`` once listening.
     """
     async with BenchmarkService(
-        jobs=jobs, mode=mode, memory_budget_bytes=memory_budget_bytes
+        jobs=jobs, memory_budget_bytes=memory_budget_bytes
     ) as service:
         server = ServiceServer(service, host, port)
         await server.start()

@@ -39,11 +39,6 @@ class TestRunDynamicCase:
         for w in report.windows[1:]:
             assert w.incremental_seconds < w.recompute_seconds, w.window
 
-    def test_platform_cases_route_through_run_cases(self):
-        report = run_dynamic_case("wcc", platform_cases=True, **SMALL)
-        assert sorted(report.platform_case_seconds) == [0, 1, 2, 3]
-        assert all(s > 0 for s in report.platform_case_seconds.values())
-
 
 class TestCrashReplay:
     def test_bit_identical_recovery(self):

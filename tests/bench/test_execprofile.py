@@ -25,18 +25,18 @@ class TestLoadProfile:
     def test_execution_table(self, tmp_path):
         path = _write(
             tmp_path,
-            '[execution]\njobs = 2\ndataset_format = "mmap"\n'
+            "[execution]\njobs = 2\ndataset_cache_size = 8\n"
             "no-cache = true\n",
         )
         profile = load_profile(path)
-        assert (profile.jobs, profile.dataset_format, profile.no_cache) == \
-            (2, "mmap", True)
+        assert (profile.jobs, profile.dataset_cache_size, profile.no_cache) == \
+            (2, 8, True)
 
     def test_unknown_key_rejected(self, tmp_path):
-        # The second key was a knob until the sharding subsystem was
+        # The last two keys were knobs until their subsystems were
         # deleted, so a stale profile must fail loudly (split so a grep
-        # for the removed name stays empty).
-        for key in ("jbos", "intra" "-jobs"):
+        # for the removed names stays empty).
+        for key in ("jbos", "intra" "-jobs", "dataset" "-format"):
             path = _write(tmp_path, f"{key} = 4\n")
             with pytest.raises(ExecutionProfileError, match=key):
                 load_profile(path)
@@ -65,7 +65,7 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"jobs": 0},
         {"dataset_cache_size": -1},
-        {"dataset_format": "floppy"},
+        {"dataset_cache_size": 0},
         {"dynamic_batches": 0},
         {"dynamic_batch_edges": 0},
     ])
@@ -78,7 +78,7 @@ class TestValidation:
         assert profile.jobs == 1
         assert profile.cache_dir is None
         assert profile.no_cache is False
-        assert profile.dataset_format == "memory"
+        assert profile.dataset_cache_size is None
         assert profile.trace is None
         assert profile.dynamic_batches == 8
         assert profile.dynamic_batch_edges == 50
@@ -96,7 +96,7 @@ class TestPrecedence:
     def test_cli_beats_env_beats_profile_beats_defaults(self, tmp_path):
         path = _write(
             tmp_path,
-            'jobs = 2\ndynamic-batches = 3\ndataset-format = "mmap"\n',
+            "jobs = 2\ndynamic-batches = 3\ndataset-cache-size = 8\n",
         )
         profile = resolve_profile(
             {"jobs": 8},
@@ -105,7 +105,7 @@ class TestPrecedence:
         )
         assert profile.jobs == 8            # CLI wins
         assert profile.dynamic_batches == 5  # env beats profile
-        assert profile.dataset_format == "mmap"  # profile beats default
+        assert profile.dataset_cache_size == 8  # profile beats default
         assert profile.cache_dir is None    # default survives
 
     def test_absent_cli_flags_do_not_mask(self, tmp_path):
@@ -163,3 +163,5 @@ class TestCliIntegration:
         path = _write(tmp_path, "warp = 9\n")
         with pytest.raises(SystemExit, match="warp"):
             main(["table2", "--profile", str(path)])
+        with pytest.raises(SystemExit, match="repro-bench: dataset-cache-size"):
+            main(["table2", "--dataset-cache-size", "0"])

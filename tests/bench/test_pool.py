@@ -156,5 +156,5 @@ class TestNestedPoolGuard:
 
     def test_worker_init_marks_pool_worker(self, monkeypatch):
         monkeypatch.setattr(pool, "_IN_POOL_WORKER", False)
-        pool._worker_init(None, None, "memory")
+        pool._worker_init(None, None)
         assert pool._IN_POOL_WORKER

@@ -142,6 +142,32 @@ class TestArtifactStoreDisk:
         assert snap.get("store_hits") == 1.0
 
 
+class TestCorruptEntryWarning:
+    def test_corrupt_entry_warns_and_misses(self, store, capsys):
+        store.put("dataset", ("x",), {"ok": True})
+        entry = next(store.root.rglob("*.pkl"))
+        entry.write_bytes(b"\x80\x04 definitely not a pickle")
+        assert store.get("dataset", ("x",)) is None
+        err = capsys.readouterr().err
+        assert "corrupt store entry" in err
+        assert str(entry) in err
+        assert "kind=dataset" in err
+        assert store.misses == 1
+
+    def test_plain_miss_stays_silent(self, store, capsys):
+        assert store.get("dataset", ("never-stored",)) is None
+        assert capsys.readouterr().err == ""
+
+    def test_corrupt_entry_overwritten_by_next_put(self, store, capsys):
+        store.put("case", ("y",), [1, 2])
+        entry = next(store.root.rglob("*.pkl"))
+        entry.write_bytes(b"torn")
+        assert store.get("case", ("y",)) is None
+        store.put("case", ("y",), [1, 2])
+        assert store.get("case", ("y",)) == [1, 2]
+        capsys.readouterr()
+
+
 class TestColdVsWarm:
     def _specs(self):
         return [

@@ -1,14 +1,8 @@
-"""Tests for bulk-loaded streams and the Dyn- catalog dataset family."""
+"""Tests for bulk-loaded streams and the dynamic experiment's stream."""
 
-import numpy as np
 import pytest
 
-from repro.datagen.catalog import (
-    DYNAMIC_DATASET_PREFIX,
-    build_dataset,
-    dynamic_dataset_name,
-    dynamic_stream,
-)
+from repro.bench.dynamic_exp import dynamic_stream
 from repro.datagen.dynamic import generate_stream
 from repro.errors import GeneratorParameterError
 
@@ -46,34 +40,5 @@ class TestBulkLoadStream:
 
 
 class TestDynDatasets:
-    def test_name_round_trip(self):
-        name = dynamic_dataset_name(300, 40, 2)
-        assert name == "Dyn-300x40@2"
-        assert name.startswith(DYNAMIC_DATASET_PREFIX)
-
-    def test_snapshot_served_as_dataset(self):
-        stream = dynamic_stream(300, 40)
-        instance = build_dataset(dynamic_dataset_name(300, 40, 1))
-        expected = stream.snapshot(1)
-        assert instance.graph.num_vertices == 300
-        assert np.array_equal(instance.graph.indptr, expected.indptr)
-        assert np.array_equal(instance.graph.indices, expected.indices)
-
-    def test_windows_grow(self):
-        g0 = build_dataset(dynamic_dataset_name(300, 40, 0)).graph
-        g2 = build_dataset(dynamic_dataset_name(300, 40, 2)).graph
-        assert g2.num_edges > g0.num_edges
-
     def test_stream_is_memoized(self):
         assert dynamic_stream(300, 40) is dynamic_stream(300, 40)
-
-    @pytest.mark.parametrize("name", [
-        "Dyn-300x40@999",      # window out of range
-        "Dyn-0x40@0",          # zero vertices
-        "Dyn-300x0@0",         # zero batch size
-        "Dyn-300x40",          # malformed: no window
-        "Dyn-abcx40@0",        # malformed: non-numeric
-    ])
-    def test_bad_names_rejected(self, name):
-        with pytest.raises(GeneratorParameterError):
-            build_dataset(name)

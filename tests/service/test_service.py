@@ -250,8 +250,6 @@ class TestServiceSurface:
         with pytest.raises(ServiceError):
             BenchmarkService(jobs=0)
         with pytest.raises(ServiceError):
-            BenchmarkService(mode="fiber")
-        with pytest.raises(ServiceError):
             BenchmarkService(memory_budget_bytes=-1.0)
 
     def test_store_hits_across_service_restarts(self, tmp_path):
@@ -274,29 +272,16 @@ class TestServiceSurface:
         assert first.fingerprints == second.fingerprints
 
 
-class TestProcessMode:
-    def test_process_mode_outcomes_bit_identical(self, tmp_path):
-        request = SubmitRequest(tenant="t", cases=POOL[:2])
-        direct = _direct_fingerprints(request.cases)
-        clear_case_cache()
-        store_mod.set_artifact_store(store_mod.ArtifactStore(tmp_path))
-
-        async def scenario():
-            async with BenchmarkService(jobs=2, mode="process") as service:
-                job = await service.submit(request)
-                return await service.result(job)
-
-        result = asyncio.run(scenario())
-        for case, outcome in zip(request.cases, result.outcomes):
-            assert outcome_fingerprint(outcome) == \
-                direct[case_key(case.to_spec())]
-
-
 class TestTcpServer:
     def test_protocol_round_trip(self):
+        import gc
         import json
 
         async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
             async with BenchmarkService(jobs=2) as service:
                 server = await ServiceServer(service, port=0).start()
                 host, port = server.address
@@ -326,6 +311,26 @@ class TestTcpServer:
                 assert not bad["ok"] and "unknown op" in bad["error"]
                 malformed = await rpc({"op": "submit", "request": {}})
                 assert not malformed["ok"]
+                # A non-UTF-8 line gets a typed error and the connection
+                # lives on; a line past the stream-reader limit gets one
+                # and is hung up on.  Neither may escape the handler.
+                writer.write(b'{"op": "\xff"}\n')
+                garbled = json.loads(await reader.readline())
+                assert not garbled["ok"]
+                assert "UnicodeDecodeError" in garbled["error"]
+                assert (await rpc({"op": "ping"}))["ok"]
+                writer.write(b"x" * (2 ** 16 + 1) + b"\n")
+                oversize = json.loads(await reader.readline())
+                assert not oversize["ok"] and "too long" in oversize["error"]
+                try:
+                    assert await reader.read() == b""
+                except ConnectionError:
+                    pass
+                writer.close()
+                reader, writer = await asyncio.open_connection(host, port)
+                assert (await rpc({"op": "ping"}))["ok"]
+                gc.collect()  # a crashed handler task reports when freed
+                assert unhandled == []
                 down = await rpc({"op": "shutdown"})
                 assert down["ok"]
                 writer.close()

@@ -10,14 +10,6 @@ verifies that
 * absolute ``http(s)`` URLs are well-formed (no network access — CI must
   not flake on someone else's server).
 
-It also guards against benchmark-output path drift: every mention of a
-``BENCH_*.json`` artifact (in ``README.md``, ``ROADMAP.md``, or the
-docs — raw text, code spans and fences included) must spell the full
-``benchmarks/out/`` path, because that is where the bench scripts
-actually write.  Bare filenames rotted once before when the outputs
-moved; existence is deliberately not checked (bench outputs are
-generated, not committed).
-
 Stdlib only; exits non-zero listing every broken link.  Run locally with
 
     python tools/check_doc_links.py
@@ -51,14 +43,6 @@ INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(\s*<?([^)<>\s]+)>?(?:\s+\"[^\"]*\")?\s*
 #: Reference definitions: [label]: target
 REFERENCE_DEF = re.compile(r"^\[[^\]]+\]:\s+<?(\S+?)>?\s*$", re.MULTILINE)
 FENCE = re.compile(r"^(```|~~~)", re.MULTILINE)
-#: Benchmark-output mentions; group 1 captures the required directory
-#: prefix when present.
-BENCH_TOKEN = re.compile(r"(benchmarks/out/)?\bBENCH_\w+\.json")
-
-#: Files whose BENCH_*.json mentions must carry the full path.  The
-#: docs glob is added in main(); CHANGES.md is deliberately excluded
-#: (it is an append-only historical log).
-BENCH_SCANNED = ("README.md", "ROADMAP.md")
 
 
 def _strip_code_blocks(text: str) -> str:
@@ -101,27 +85,6 @@ def check_file(path: Path) -> list[str]:
     return problems
 
 
-def check_bench_paths(path: Path) -> list[str]:
-    """Flag ``BENCH_*.json`` mentions missing the ``benchmarks/out/``
-    prefix.
-
-    Scans the raw text — unlike the link check, fenced examples and
-    inline code are exactly where these artifacts get referenced.
-    """
-    problems: list[str] = []
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        for match in BENCH_TOKEN.finditer(line):
-            if not match.group(1):
-                problems.append(
-                    f"{path}:{lineno}: bench output "
-                    f"{match.group(0).split('/')[-1]!r} referenced "
-                    "without its benchmarks/out/ directory"
-                )
-    return problems
-
-
 def main() -> int:
     files = [REPO_ROOT / "README.md"]
     files += sorted((REPO_ROOT / "docs").glob("*.md"))
@@ -135,19 +98,11 @@ def main() -> int:
             print(f"missing expected file: {f}", file=sys.stderr)
         return 1
 
-    bench_scanned = list(files)
-    bench_scanned += [
-        p for page in BENCH_SCANNED
-        if (p := REPO_ROOT / page) not in bench_scanned and p.exists()
-    ]
-
     problems: list[str] = []
     checked = 0
     for path in files:
         problems += check_file(path)
         checked += 1
-    for path in bench_scanned:
-        problems += check_bench_paths(path)
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)

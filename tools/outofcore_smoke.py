@@ -1,18 +1,19 @@
-"""CI smoke: the out-of-core dataset path, end to end, in seconds.
+"""CI smoke: the out-of-core generation path, end to end, in seconds.
 
-Exercises the whole ``--dataset-format mmap`` chain at tiny scale:
+Exercises :mod:`repro.datagen.shards` + :mod:`repro.core.mmapcsr` at
+tiny scale:
 
 1. sharded FFT-DG generation straight to an on-disk CSR file, with a
    deliberately small shard size so multiple shards actually happen;
 2. zero-copy reopening via ``numpy.memmap`` (asserted: the served
    arrays are mmap-backed and read-only, and byte-identical to the
    in-memory generator's);
-3. one PR case through ``run_case`` in mmap mode, parity-asserted
-   against the same case in memory mode.
+3. one PR platform run on the reopened graph, parity-asserted against
+   the same run on the in-memory graph.
 
 Exit status is non-zero on any divergence, so CI catches a broken shard
-pipeline (wrong bytes), broken shipping (silent copies), and broken
-parity (outcomes depending on the container format).
+pipeline (wrong bytes), broken reopening (silent copies), and broken
+parity (outcomes depending on where the arrays live).
 """
 
 import sys
@@ -24,19 +25,10 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.bench import CaseSpec, clear_case_cache  # noqa: E402
-from repro.bench.store import ArtifactStore, set_artifact_store  # noqa: E402
+from repro.cluster import single_machine  # noqa: E402
 from repro.core.mmapcsr import open_graph_csr  # noqa: E402
-from repro.datagen import (  # noqa: E402
-    FFTDG,
-    FFTDGConfig,
-    build_dataset,
-    clear_dataset_cache,
-    generate_fft_to_disk,
-    set_dataset_format,
-)
-
-KW = dict(scale_divisor=8000, degree_divisor=6, seed=7)
+from repro.datagen import FFTDG, FFTDGConfig, generate_fft_to_disk  # noqa: E402
+from repro.platforms import get_platform  # noqa: E402
 
 
 def _mmap_backed(array: np.ndarray) -> bool:
@@ -64,36 +56,21 @@ def main() -> None:
         assert gen.counter.trials == mem.counter.trials, \
             "sharded path consumed a different RNG stream"
 
-        # 2. The catalog's mmap format serves zero-copy views.
-        set_artifact_store(ArtifactStore(Path(root) / "store"))
-        set_dataset_format("mmap")
-        clear_dataset_cache()
-        clear_case_cache()
-        try:
-            ds = build_dataset("S8-Std", **KW)
-            assert _mmap_backed(ds.graph.indices), \
-                "mmap-format dataset is not memmap-backed"
-            assert not ds.graph.indices.flags.writeable, \
-                "mmap-format dataset arrays must be read-only"
+        # 2. The reopened graph is a zero-copy, read-only view.
+        assert _mmap_backed(graph.indices), \
+            "reopened CSR graph is not memmap-backed"
+        assert not graph.indices.flags.writeable, \
+            "reopened CSR arrays must be read-only"
 
-            # 3. One PR case, parity-asserted against memory mode.
-            spec = CaseSpec.make("Flash", "pr", "S8-Std",
-                                 scale_divisor=KW["scale_divisor"])
-            mmap_outcome = spec.run()
-        finally:
-            set_dataset_format("memory")
-            set_artifact_store(None)
-            clear_dataset_cache()
-            clear_case_cache()
-        memory_outcome = spec.run()
-        assert mmap_outcome.status == memory_outcome.status == "ok"
-        assert np.array_equal(
-            np.asarray(mmap_outcome.result.values),
-            np.asarray(memory_outcome.result.values),
-        ), "PR output depends on the dataset container format"
-        assert mmap_outcome.result.metrics == memory_outcome.result.metrics
+        # 3. One PR run on it, parity-asserted against the in-memory graph.
+        platform = get_platform("Flash")
+        on_disk = platform.run("pr", graph, single_machine())
+        in_memory = platform.run("pr", mem.graph, single_machine())
+        assert np.array_equal(on_disk.values, in_memory.values), \
+            "PR output depends on where the graph's arrays live"
+        assert on_disk.metrics == in_memory.metrics
     print("out-of-core smoke ok: sharded CSR byte-identical, "
-          "zero-copy mmap serving, case parity")
+          "zero-copy mmap reopening, run parity")
 
 
 if __name__ == "__main__":
