@@ -13,9 +13,9 @@ Two layers, matching how the subsystem is built:
   (PEval on the bulk-load window, IncEval per update batch) against a
   cold recompute of the *same* program per window, with per-window
   result-parity checks (bit-exact for WCC/SSSP, certified tolerance for
-  delta PR, stability for LPA), plus crash-mid-stream legs where the
-  faults subsystem replays the update log from the last checkpoint and
-  must recover bit-identically.
+  delta PR, stability for LPA), plus crash-mid-stream legs that price
+  a replay of the window traces since the last checkpoint and must
+  leave the state bit-identical to a failure-free twin.
 
 Asserts: incremental ≥ 3x recompute on the PR and WCC legs, and
 bit-identical crash recovery.  The table lands in

@@ -229,13 +229,13 @@ def crash_replay_case(
     crash_window: int = 5,
     prune: float = DEFAULT_PRUNE,
 ) -> dict:
-    """Crash mid-stream and prove log replay recovers bit-identically.
+    """Crash mid-stream and prove recovery is bit-identical.
 
     Runs the same stream twice — once failure-free, once with a machine
     crash scheduled at ``crash_window`` — and compares result
-    fingerprints after every window.  The crashed session loses its
-    in-memory state and rebuilds it from its last checkpoint plus the
-    update log, so the fingerprints must agree bit-for-bit.
+    fingerprints after every window.  The crashed session prices a
+    replay of the window traces since its last checkpoint, and its
+    state must agree with the failure-free twin bit-for-bit.
     """
     if not 0 < crash_window <= num_batches:
         raise BenchmarkError(

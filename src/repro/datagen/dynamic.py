@@ -47,12 +47,7 @@ class EdgeBatch:
 
 
 class DynamicGraphStream:
-    """A sequence of edge-insertion batches over a fixed vertex set.
-
-    The batch list doubles as the stream's *update log*: the crash-replay
-    leg of the dynamic benchmark re-applies ``batches[c:t]`` to a window-c
-    checkpoint to recover window t's state bit-identically.
-    """
+    """A sequence of edge-insertion batches over a fixed vertex set."""
 
     def __init__(self, num_vertices: int, batches: list[EdgeBatch]) -> None:
         self.num_vertices = num_vertices

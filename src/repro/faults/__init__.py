@@ -12,9 +12,9 @@ This package grows the cost-model simulator that extra axis:
   wall-clock randomness anywhere: the same schedule always produces the
   same execution and the same priced seconds.
 * :mod:`repro.faults.runtime` — :class:`FaultRuntime`, the execution
-  half: superstep-granular checkpoint capture, crash injection at
-  barrier boundaries, rollback to the last checkpoint, and replay
-  bookkeeping.  It produces a :class:`FaultTimeline` the pricing layer
+  half: superstep-granular checkpoints, crash injection at barriers,
+  and, for every engine family, recovery by copying the records since
+  the last checkpoint (exact: execution is deterministic).  It produces a :class:`FaultTimeline` the pricing layer
   (:func:`repro.cluster.cost.price_trace`) consumes to add
   checkpoint-write and recovery-replay cost terms.
 

@@ -1,45 +1,32 @@
 """Checkpoint/crash/recovery execution: the *what happens* half.
 
 One :class:`FaultRuntime` accompanies one platform run.  It attaches to
-the run's :class:`~repro.cluster.cost.TraceRecorder` and drives two
-recovery disciplines, both sharing the same crash schedule and the same
-global superstep counter:
-
-**Engine-managed** (vertex- and edge-centric loops).  The engine opens a
-*section* around its superstep loop and hands the runtime a capture
-callable returning its live loop state (program ``__dict__``, frontier,
-inbox, aggregates).  The runtime deep-copies that state every
-``checkpoint_interval`` supersteps; when a scheduled crash fires at a
-barrier, the engine rolls its loop variable back to the last checkpoint,
-restores the snapshot, and *re-executes* the lost supersteps for real.
-Because execution is deterministic, the replayed supersteps seal
-bit-identical :class:`~repro.cluster.cost.SuperstepRecord`\\ s and the
-final algorithm output equals the failure-free run's exactly.
-
-**Recorder-managed** (block- and subgraph-centric engines, and the
-edge-centric platform's direct-metering subgraph routines — models whose
-algorithms drive ``begin/end_superstep`` themselves).  The runtime
-observes every sealed superstep; on a crash it appends *copies* of the
+the run's :class:`~repro.cluster.cost.TraceRecorder` and observes every
+sealed superstep through :meth:`FaultRuntime.on_sealed`, whichever
+engine family drives ``begin/end_superstep``.  Every
+``checkpoint_interval`` supersteps it records a checkpoint boundary;
+when a scheduled crash fires at a barrier it appends *copies* of the
 records since the last checkpoint as the replay.  Deterministic
 execution makes replay-by-copy exactly equivalent to re-execution — the
-re-executed supersteps would seal identical records — so both
-disciplines produce the same trace shape: original (wasted) attempts
-stay in the trace, followed by the replayed supersteps.
+re-executed supersteps would seal bit-identical
+:class:`~repro.cluster.cost.SuperstepRecord`\\ s and reach the same
+final state — so the original (wasted) attempts stay in the trace,
+followed by the replayed supersteps, and the algorithm output equals
+the failure-free run's exactly.  Engines with their own superstep loop
+call :meth:`FaultRuntime.new_section` as each loop starts, because
+checkpoint cadence restarts at every loop (BC runs two).
 
-The product of either discipline is a :class:`FaultTimeline` — the
-positions of checkpoints and crashes within the trace plus the logical
-superstep of every sealed record — which
-:func:`repro.cluster.cost.price_trace` consumes to price checkpoint
-writes, failover, state re-placement, and replayed work, and from which
-the bit-identical failure-free trace can be reconstructed.
+The product is a :class:`FaultTimeline` — the positions of checkpoints
+and crashes within the trace plus the logical superstep of every sealed
+record — which :func:`repro.cluster.cost.price_trace` consumes to price
+checkpoint writes, failover, state re-placement, and replayed work, and
+from which the bit-identical failure-free trace can be reconstructed.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.cluster.cost import SuperstepRecord, TraceRecorder, WorkTrace
 from repro.errors import PlatformError
@@ -75,7 +62,7 @@ class CrashEvent:
     at; ``machine`` the lost machine; ``rollback_to`` the logical
     superstep execution resumed from (the last checkpoint);
     ``trace_index`` the position of the first *replayed* record in the
-    trace; ``replayed`` how many records the recovery re-executed
+    trace; ``replayed`` how many records the recovery replayed
     (``superstep - rollback_to + 1``).
     """
 
@@ -131,19 +118,17 @@ class FaultTimeline:
         return WorkTrace(parts=trace.parts, steps=steps)
 
     def replayed_steps(self) -> int:
-        """Total records re-executed (or re-appended) by recoveries."""
+        """Total records replayed by recoveries."""
         return sum(crash.replayed for crash in self.crashes)
 
 
 class FaultRuntime:
-    """Drives checkpoints, crash injection, and rollback for one run.
+    """Drives checkpoints, crash injection, and replay for one run.
 
     Construct with the run's schedule and cluster machine count, then
-    :meth:`attach` to the run's recorder.  Engines with their own
-    superstep loop wrap it in :meth:`start_section` /
-    :meth:`end_section` and call :meth:`checkpoint_if_due` /
-    :meth:`after_superstep`; everything else is recorder-managed via
-    :meth:`on_sealed` (called from ``TraceRecorder.end_superstep``).
+    :meth:`attach` to the run's recorder, which reports every sealed
+    superstep to :meth:`on_sealed`.  Engines with their own superstep
+    loop call :meth:`new_section` as the loop starts.
     """
 
     def __init__(
@@ -170,11 +155,7 @@ class FaultRuntime:
         self._crashes = deque(schedule.crashes)
         self._dead: set[int] = set()
         self._counter = 0        # next global (logical) superstep to seal
-        self._engine = False     # an engine-managed section is open
         self._base = 0           # section's first global superstep
-        self._capture: Callable[[], tuple] | None = None
-        self._snapshot: tuple | None = None
-        self._last_ckpt = 0      # global superstep of the last checkpoint
         self._ckpt_index = 0     # trace index recovery replays from
 
     # -- wiring ---------------------------------------------------------
@@ -184,95 +165,26 @@ class FaultRuntime:
         recorder.faults = self
         self._trace = recorder.trace
 
-    # -- engine-managed sections ---------------------------------------
+    def new_section(self) -> None:
+        """Mark a section boundary: checkpoint cadence restarts here.
 
-    def start_section(self, capture: Callable[[], tuple]) -> None:
-        """Open an engine-managed section around a superstep loop.
-
-        ``capture`` must return the engine's live loop state; the
-        runtime deep-copies it.  The section start is a free implicit
-        checkpoint (the initial state exists on every machine before any
-        superstep runs), so a crash before the first periodic checkpoint
-        rolls back to the section's first superstep.
+        Engines call this at the start of every superstep loop (BC runs
+        two).  The boundary is a free implicit checkpoint — the loop's
+        initial state exists on every machine before any superstep runs,
+        and earlier results were already extracted — so a crash before
+        the next periodic checkpoint replays from here.
         """
-        assert self._trace is not None, "attach() before start_section()"
-        self._engine = True
         self._base = self._counter
-        self._capture = capture
-        self._snapshot = copy.deepcopy(capture())
-        self._last_ckpt = self._base
         self._ckpt_index = len(self._trace.steps)
 
-    def end_section(self) -> None:
-        """Close the engine-managed section and return to recorder mode.
-
-        The section boundary acts as an implicit checkpoint for any
-        recorder-managed metering that follows (results were already
-        extracted; there is nothing earlier to replay).
-        """
-        self._engine = False
-        self._capture = None
-        self._snapshot = None
-        self._base = self._counter
-        self._last_ckpt = self._counter
-        if self._trace is not None:
-            self._ckpt_index = len(self._trace.steps)
-
-    def checkpoint_if_due(self, local_superstep: int) -> None:
-        """Capture a periodic checkpoint at the top of a loop iteration.
-
-        Called with the engine's *local* superstep index before the
-        superstep executes; writes a checkpoint when the global index is
-        a fresh multiple of the interval past the section start.
-        """
-        s = self._base + local_superstep
-        if s > self._last_ckpt and (s - self._base) % self.interval == 0:
-            assert self._capture is not None
-            self._snapshot = copy.deepcopy(self._capture())
-            self._last_ckpt = s
-            self._record_checkpoint(s)
-
-    def after_superstep(self, local_superstep: int) -> int | None:
-        """Advance past a sealed superstep; fire a due crash.
-
-        Returns ``None`` to continue, or the *local* superstep the
-        engine must roll back to (restore :meth:`rollback` state, set
-        its loop variable, and re-execute).
-        """
-        s = self._base + local_superstep
-        self.timeline.step_supersteps.append(s)
-        self._counter = s + 1
-        if not self._crash_due(s):
-            return None
-        assert self._trace is not None
-        crash = self._crashes.popleft()
-        replayed = s - self._last_ckpt + 1
-        self._record_crash(crash, trace_index=len(self._trace.steps),
-                           rollback_to=self._last_ckpt, replayed=replayed)
-        self._counter = self._last_ckpt
-        return self._last_ckpt - self._base
-
-    def rollback(self) -> tuple:
-        """A fresh deep copy of the last checkpoint's captured state.
-
-        Each call copies again, so the snapshot survives a later crash
-        rolling back to the same checkpoint.
-        """
-        assert self._snapshot is not None
-        return copy.deepcopy(self._snapshot)
-
-    # -- recorder-managed mode -----------------------------------------
-
     def on_sealed(self) -> None:
-        """Observe one sealed superstep (recorder-managed discipline).
+        """Observe one sealed superstep.
 
-        Called by ``TraceRecorder.end_superstep``.  No-op inside an
-        engine-managed section (the engine drives
-        :meth:`after_superstep` itself).  Otherwise advances the global
+        Called by ``TraceRecorder.end_superstep``.  Advances the global
         counter, appends replay copies on a due crash, and records
         periodic checkpoint boundaries.
         """
-        if self._engine or self._trace is None:
+        if self._trace is None:
             return
         s = self._counter
         self.timeline.step_supersteps.append(s)
@@ -298,7 +210,6 @@ class FaultRuntime:
             # replay copies — the same contiguous logical range.
             self._ckpt_index = end
         if (s + 1 - self._base) % self.interval == 0:
-            self._last_ckpt = s + 1
             self._ckpt_index = len(self._trace.steps)
             self._record_checkpoint(s + 1)
 

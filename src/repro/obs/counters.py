@@ -86,7 +86,8 @@ CASE_CACHE_HITS = "case_cache_hits"
 CHECKPOINTS_WRITTEN = "checkpoints_written"
 #: Machine crashes injected by a fault schedule.
 CRASHES_INJECTED = "crashes_injected"
-#: Supersteps re-executed (or replayed by copy) during crash recovery.
+#: Supersteps replayed by copy during crash recovery (never sealed, so
+#: ``SUPERSTEPS`` / ``COMPUTE_OPS`` count each logical superstep once).
 SUPERSTEPS_REPLAYED = "supersteps_replayed"
 #: Transient-fault retries performed by ``bench.runner.run_case``.
 CASE_RETRIES = "case_retries"
@@ -174,8 +175,7 @@ VOCABULARY: dict[str, str] = {
     ),
     CRASHES_INJECTED: "Machine crashes injected by a FaultSchedule.",
     SUPERSTEPS_REPLAYED: (
-        "Supersteps re-executed (or replayed by copy) during crash "
-        "recovery."
+        "Supersteps replayed by copy during crash recovery."
     ),
     CASE_RETRIES: (
         "Transient-fault retries performed by run_case's "

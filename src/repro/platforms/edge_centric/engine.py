@@ -394,6 +394,8 @@ class EdgeCentricEngine:
         else:
             use_bulk = bulk_capable
         self.last_path = "bulk" if use_bulk else "scalar"
+        if self.recorder.faults is not None:
+            self.recorder.faults.new_section()
         with get_tracer().span(
             f"edge-centric/{type(program).__name__}",
             category="engine",
@@ -418,98 +420,73 @@ class EdgeCentricEngine:
         rep_indptr, rep_flat = placement.replica_indptr, placement.replica_flat
         masters = placement.master
 
-        faults = rec.faults
-        if faults is not None:
-            def _capture() -> tuple:
-                return (program.__dict__, active)
+        for iteration in range(max_iterations):
+            extra = program.before_iteration(iteration)
+            if extra is not None:
+                active = np.union1d(active, _frontier_array(extra))
+            if active.size == 0 or program.should_stop(iteration):
+                return program
+            with tracer.span("gas-iteration", category="superstep",
+                             index=iteration, active=int(active.size)):
+                rec.begin_superstep()
+                step_ops = np.zeros(parts)
+                activation: list[np.ndarray] = []
 
-            faults.start_section(_capture)
-        try:
-            iteration = 0
-            while iteration < max_iterations:
-                if faults is not None:
-                    faults.checkpoint_if_due(iteration)
-                extra = program.before_iteration(iteration)
-                if extra is not None:
-                    active = np.union1d(active, _frontier_array(extra))
-                if active.size == 0 or program.should_stop(iteration):
-                    return program
-                with tracer.span("gas-iteration", category="superstep",
-                                 index=iteration, active=int(active.size)):
-                    rec.begin_superstep()
-                    step_ops = np.zeros(parts)
-                    activation: list[np.ndarray] = []
+                for v in active.tolist():
+                    lo, hi = int(indptr[v]), int(indptr[v + 1])
+                    master = int(masters[v])
 
-                    for v in active.tolist():
-                        lo, hi = int(indptr[v]), int(indptr[v + 1])
-                        master = int(masters[v])
+                    # Gather: fold each replica's local edges; partial
+                    # accs travel replica -> master.
+                    acc = None
+                    if hi > lo:
+                        neighbors = adj[lo:hi]
+                        nparts = adj_part[lo:hi]
+                        partials: dict[int, object] = {}
+                        for idx, u in enumerate(neighbors.tolist()):
+                            p = int(nparts[idx])
+                            w = (float(adj_weight[lo + idx])
+                                 if adj_weight is not None else 1.0)
+                            g = program.gather(int(u), v, w)
+                            if g is None:
+                                continue
+                            prev = partials.get(p)
+                            partials[p] = (
+                                g if prev is None
+                                else program.merge(prev, g)
+                            )
+                            step_ops[p] += 1.0
+                        # Ascending part order is the canonical fold
+                        # order (the bulk path's, hence the parity).
+                        for p in sorted(partials):
+                            if p != master:
+                                rec.add_message(p, master,
+                                                program.message_bytes)
+                            partial = partials[p]
+                            acc = (partial if acc is None
+                                   else program.merge(acc, partial))
 
-                        # Gather: fold each replica's local edges; partial
-                        # accs travel replica -> master.
-                        acc = None
-                        if hi > lo:
-                            neighbors = adj[lo:hi]
-                            nparts = adj_part[lo:hi]
-                            partials: dict[int, object] = {}
-                            for idx, u in enumerate(neighbors.tolist()):
-                                p = int(nparts[idx])
-                                w = (float(adj_weight[lo + idx])
-                                     if adj_weight is not None else 1.0)
-                                g = program.gather(int(u), v, w)
-                                if g is None:
-                                    continue
-                                prev = partials.get(p)
-                                partials[p] = (
-                                    g if prev is None
-                                    else program.merge(prev, g)
-                                )
-                                step_ops[p] += 1.0
-                            # Ascending part order is the canonical fold
-                            # order (the bulk path's, hence the parity).
-                            for p in sorted(partials):
-                                if p != master:
-                                    rec.add_message(p, master,
-                                                    program.message_bytes)
-                                partial = partials[p]
-                                acc = (partial if acc is None
-                                       else program.merge(acc, partial))
+                    # Apply at the master.
+                    step_ops[master] += 1.0
+                    changed = program.apply(v, acc)
 
-                        # Apply at the master.
-                        step_ops[master] += 1.0
-                        changed = program.apply(v, acc)
+                    # Scatter: replica sync + neighbour activation.
+                    if changed:
+                        rlo = int(rep_indptr[v])
+                        rhi = int(rep_indptr[v + 1])
+                        for p in rep_flat[rlo:rhi].tolist():
+                            if p != master:
+                                rec.add_message(master, p,
+                                                program.message_bytes)
+                        if program.scatter(v):
+                            activation.append(adj[lo:hi])
 
-                        # Scatter: replica sync + neighbour activation.
-                        if changed:
-                            rlo = int(rep_indptr[v])
-                            rhi = int(rep_indptr[v + 1])
-                            for p in rep_flat[rlo:rhi].tolist():
-                                if p != master:
-                                    rec.add_message(master, p,
-                                                    program.message_bytes)
-                            if program.scatter(v):
-                                activation.append(adj[lo:hi])
-
-                    for p in range(parts):
-                        if step_ops[p]:
-                            rec.add_compute(p, float(step_ops[p]))
-                    rec.end_superstep()
-                    active = (np.unique(np.concatenate(activation))
-                              if activation else _EMPTY)
-
-                if faults is not None:
-                    target = faults.after_superstep(iteration)
-                    if target is not None:
-                        # Crash at this barrier: restore the checkpoint
-                        # and re-execute the lost iterations for real.
-                        prog_state, active = faults.rollback()
-                        program.__dict__.clear()
-                        program.__dict__.update(prog_state)
-                        iteration = target
-                        continue
-                iteration += 1
-        finally:
-            if faults is not None:
-                faults.end_section()
+                for p in range(parts):
+                    if step_ops[p]:
+                        rec.add_compute(p, float(step_ops[p]))
+                rec.end_superstep()
+                active = (np.unique(np.concatenate(activation))
+                          if activation else _EMPTY)
 
         raise ConvergenceError(
             f"{type(program).__name__} did not quiesce within "
@@ -537,95 +514,72 @@ class EdgeCentricEngine:
             raise PlatformError(f"unknown bulk gather mode {mode!r}")
         mbytes = program.message_bytes
 
-        faults = rec.faults
-        if faults is not None:
-            def _capture() -> tuple:
-                return (program.__dict__, active)
+        for iteration in range(max_iterations):
+            extra = program.before_iteration(iteration)
+            if extra is not None:
+                active = np.union1d(active, _frontier_array(extra))
+            if active.size == 0 or program.should_stop(iteration):
+                return program
+            with tracer.span("gas-iteration", category="superstep",
+                             index=iteration, active=int(active.size)):
+                rec.begin_superstep()
+                step_ops = np.zeros(parts)
+                front = active.size
 
-            faults.start_section(_capture)
-        try:
-            iteration = 0
-            while iteration < max_iterations:
-                if faults is not None:
-                    faults.checkpoint_if_due(iteration)
-                extra = program.before_iteration(iteration)
-                if extra is not None:
-                    active = np.union1d(active, _frontier_array(extra))
-                if active.size == 0 or program.should_stop(iteration):
-                    return program
-                with tracer.span("gas-iteration", category="superstep",
-                                 index=iteration, active=int(active.size)):
-                    rec.begin_superstep()
-                    step_ops = np.zeros(parts)
-                    front = active.size
+                # Gather: expand the frontier's adjacency segments and
+                # evaluate every edge contribution in one call.
+                slots, dst_pos, counts = expand_segments(indptr, active)
+                sources = adj[slots]
+                edge_parts = adj_part[slots]
+                weights = None if adj_weight is None else adj_weight[slots]
+                masters = masters_all[active]
+                contrib = program.gather_bulk(sources, weights)
+                step_ops += np.bincount(edge_parts, minlength=parts)
 
-                    # Gather: expand the frontier's adjacency segments and
-                    # evaluate every edge contribution in one call.
-                    slots, dst_pos, counts = expand_segments(indptr, active)
-                    sources = adj[slots]
-                    edge_parts = adj_part[slots]
-                    weights = None if adj_weight is None else adj_weight[slots]
-                    masters = masters_all[active]
-                    contrib = program.gather_bulk(sources, weights)
-                    step_ops += np.bincount(edge_parts, minlength=parts)
+                # Partial-accumulator messages: one per touched
+                # (vertex, part) pair whose part is not the master.
+                pair = np.bincount(
+                    dst_pos * parts + edge_parts, minlength=front * parts
+                ).reshape(front, parts)
+                vpos, touched_part = np.nonzero(pair)
+                remote = touched_part != masters[vpos]
+                self._emit_messages(
+                    touched_part[remote], masters[vpos[remote]], mbytes
+                )
 
-                    # Partial-accumulator messages: one per touched
-                    # (vertex, part) pair whose part is not the master.
-                    pair = np.bincount(
-                        dst_pos * parts + edge_parts, minlength=front * parts
-                    ).reshape(front, parts)
-                    vpos, touched_part = np.nonzero(pair)
-                    remote = touched_part != masters[vpos]
+                gathered = counts > 0
+                acc = _reduce_contributions(
+                    mode, contrib, dst_pos, edge_parts, counts,
+                    front, parts, graph.num_vertices,
+                )
+
+                # Apply at the masters.
+                step_ops += np.bincount(masters, minlength=parts)
+                changed = program.apply_bulk(active, acc, gathered)
+
+                # Scatter: replica sync + neighbour activation.
+                activation = _EMPTY
+                changed_vs = active[changed]
+                if changed_vs.size:
+                    rslots, rpos, _ = expand_segments(
+                        rep_indptr, changed_vs
+                    )
+                    rep_parts = rep_flat[rslots]
+                    rep_masters = masters_all[changed_vs][rpos]
+                    sync = rep_parts != rep_masters
                     self._emit_messages(
-                        touched_part[remote], masters[vpos[remote]], mbytes
+                        rep_masters[sync], rep_parts[sync], mbytes
                     )
+                    seeds = changed_vs[program.scatter_bulk(changed_vs)]
+                    if seeds.size:
+                        aslots, _, _ = expand_segments(indptr, seeds)
+                        activation = np.unique(adj[aslots])
 
-                    gathered = counts > 0
-                    acc = _reduce_contributions(
-                        mode, contrib, dst_pos, edge_parts, counts,
-                        front, parts, graph.num_vertices,
-                    )
-
-                    # Apply at the masters.
-                    step_ops += np.bincount(masters, minlength=parts)
-                    changed = program.apply_bulk(active, acc, gathered)
-
-                    # Scatter: replica sync + neighbour activation.
-                    activation = _EMPTY
-                    changed_vs = active[changed]
-                    if changed_vs.size:
-                        rslots, rpos, _ = expand_segments(
-                            rep_indptr, changed_vs
-                        )
-                        rep_parts = rep_flat[rslots]
-                        rep_masters = masters_all[changed_vs][rpos]
-                        sync = rep_parts != rep_masters
-                        self._emit_messages(
-                            rep_masters[sync], rep_parts[sync], mbytes
-                        )
-                        seeds = changed_vs[program.scatter_bulk(changed_vs)]
-                        if seeds.size:
-                            aslots, _, _ = expand_segments(indptr, seeds)
-                            activation = np.unique(adj[aslots])
-
-                    for p in range(parts):
-                        if step_ops[p]:
-                            rec.add_compute(p, float(step_ops[p]))
-                    rec.end_superstep()
-                    active = activation
-
-                if faults is not None:
-                    target = faults.after_superstep(iteration)
-                    if target is not None:
-                        prog_state, active = faults.rollback()
-                        program.__dict__.clear()
-                        program.__dict__.update(prog_state)
-                        iteration = target
-                        continue
-                iteration += 1
-        finally:
-            if faults is not None:
-                faults.end_section()
+                for p in range(parts):
+                    if step_ops[p]:
+                        rec.add_compute(p, float(step_ops[p]))
+                rec.end_superstep()
+                active = activation
 
         raise ConvergenceError(
             f"{type(program).__name__} did not quiesce within "

@@ -513,6 +513,8 @@ class VertexCentricEngine:
         else:
             use_bulk = bulk_capable
         self.last_path = "bulk" if use_bulk else "scalar"
+        if self.recorder.faults is not None:
+            self.recorder.faults.new_section()
         with get_tracer().span(
             f"vertex-centric/{type(program).__name__}",
             category="engine",
@@ -599,89 +601,57 @@ class VertexCentricEngine:
 
         hook = getattr(program, "before_superstep", None)
 
-        faults = rec.faults
-        if faults is not None:
-            # Capture reads the *current* loop locals at call time, so
-            # checkpoints taken after reassignment see the live state.
-            def _capture() -> tuple:
-                return (program.__dict__, ctx._agg_prev, inbox, active)
+        for superstep in range(max_supersteps):
+            ctx.superstep = superstep
+            if hook is not None:
+                # Master-compute hook (Pregel's master.compute()): may
+                # inspect aggregates and schedule extra vertices.
+                extra = hook(superstep, ctx)
+                if extra is not None:
+                    active.update(int(v) for v in extra)
+            if scripted is not None:
+                if superstep >= len(scripted):
+                    return program
+                compute_list: list[int] = [
+                    int(v) for v in scripted[superstep]
+                ]
+            else:
+                if not active and not inbox:
+                    return program
+                compute_list = sorted(active | inbox.keys())
 
-            faults.start_section(_capture)
-        try:
-            superstep = 0
-            while superstep < max_supersteps:
-                if faults is not None:
-                    faults.checkpoint_if_due(superstep)
+            with tracer.span("superstep", category="superstep",
+                             index=superstep, frontier=len(compute_list)):
+                rec.begin_superstep()
                 ctx.superstep = superstep
-                if hook is not None:
-                    # Master-compute hook (Pregel's master.compute()): may
-                    # inspect aggregates and schedule extra vertices.
-                    extra = hook(superstep, ctx)
-                    if extra is not None:
-                        active.update(int(v) for v in extra)
-                if scripted is not None:
-                    if superstep >= len(scripted):
-                        return program
-                    compute_list: list[int] = [
-                        int(v) for v in scripted[superstep]
-                    ]
-                else:
-                    if not active and not inbox:
-                        return program
-                    compute_list = sorted(active | inbox.keys())
+                part = self._part
+                step_ops = np.zeros(parts)
 
-                with tracer.span("superstep", category="superstep",
-                                 index=superstep, frontier=len(compute_list)):
-                    rec.begin_superstep()
-                    ctx.superstep = superstep
-                    part = self._part
-                    step_ops = np.zeros(parts)
+                # Push/pull auto-switching: pull-mode sequential reads
+                # halve per-message cost, but only dense frontiers
+                # qualify.
+                dense = len(compute_list) >= dense_threshold
+                msg_op_cost = 0.5 if (profile.push_pull and dense) else 1.0
 
-                    # Push/pull auto-switching: pull-mode sequential reads
-                    # halve per-message cost, but only dense frontiers
-                    # qualify.
-                    dense = len(compute_list) >= dense_threshold
-                    msg_op_cost = 0.5 if (profile.push_pull and dense) else 1.0
-
-                    # Per-superstep scan overhead (the vertex_subset effect).
-                    if profile.vertex_subset:
-                        for v in compute_list:
-                            step_ops[part[v]] += 1.0
-                    else:
-                        step_ops += self._part_sizes
-
+                # Per-superstep scan overhead (the vertex_subset effect).
+                if profile.vertex_subset:
                     for v in compute_list:
-                        msgs = inbox.pop(v, _EMPTY)
-                        if msgs:
-                            step_ops[part[v]] += msg_op_cost * len(msgs)
-                        program.compute(v, msgs, ctx)
+                        step_ops[part[v]] += 1.0
+                else:
+                    step_ops += self._part_sizes
 
-                    inbox = self._route(ctx, program, step_ops)
+                for v in compute_list:
+                    msgs = inbox.pop(v, _EMPTY)
+                    if msgs:
+                        step_ops[part[v]] += msg_op_cost * len(msgs)
+                    program.compute(v, msgs, ctx)
 
-                    self._flush_superstep(ctx._agg_next, step_ops)
+                inbox = self._route(ctx, program, step_ops)
 
-                    active = set(ctx._next_active)
-                    ctx._roll()
+                self._flush_superstep(ctx._agg_next, step_ops)
 
-                if faults is not None:
-                    target = faults.after_superstep(superstep)
-                    if target is not None:
-                        # Crash at this barrier: restore the last
-                        # checkpoint and re-execute the lost supersteps
-                        # for real (the wasted attempts stay in the
-                        # trace).
-                        prog_state, agg_prev, inbox, active = faults.rollback()
-                        program.__dict__.clear()
-                        program.__dict__.update(prog_state)
-                        ctx._agg_prev = agg_prev
-                        if scripted is not None:
-                            scripted = program.frontiers
-                        superstep = target
-                        continue
-                superstep += 1
-        finally:
-            if faults is not None:
-                faults.end_section()
+                active = set(ctx._next_active)
+                ctx._roll()
 
         raise ConvergenceError(
             f"{type(program).__name__} did not quiesce within "
@@ -793,87 +763,63 @@ class VertexCentricEngine:
             if program.bulk_master_hook else None
         )
 
-        faults = rec.faults
-        if faults is not None:
-            def _capture() -> tuple:
-                return (program.__dict__, ctx._agg_prev, inbox, active)
-
-            faults.start_section(_capture)
-        try:
-            superstep = start_superstep
-            while superstep < max_supersteps:
-                if faults is not None:
-                    faults.checkpoint_if_due(superstep)
-                ctx.superstep = superstep
-                if hook is not None:
-                    # Master-compute hook, same placement as the scalar
-                    # path: before the quiescence check, merging any
-                    # returned vertices into the frontier.
-                    extra = hook(superstep, ctx)
-                    if extra is not None:
-                        extra_arr = np.unique(np.fromiter(
-                            (int(v) for v in extra), dtype=np.int64
-                        ))
-                        if extra_arr.size:
-                            active = (
-                                extra_arr if active.size == 0
-                                else np.union1d(active, extra_arr)
-                            )
-                inbox_dsts = inbox.destinations()
-                if active.size == 0 and inbox_dsts.size == 0:
-                    return program
-                if inbox_dsts.size == 0:
-                    frontier = active
-                elif active.size == 0:
-                    frontier = inbox_dsts
-                else:
-                    frontier = np.union1d(active, inbox_dsts)
-
-                with tracer.span("superstep", category="superstep",
-                                 index=superstep, frontier=int(frontier.size)):
-                    rec.begin_superstep()
-                    step_ops = np.zeros(parts)
-
-                    dense = frontier.size >= dense_threshold
-                    msg_op_cost = 0.5 if (profile.push_pull and dense) else 1.0
-
-                    # Per-superstep scan overhead (the vertex_subset effect).
-                    if profile.vertex_subset:
-                        step_ops += np.bincount(part[frontier], minlength=parts)
-                    else:
-                        step_ops += self._part_sizes
-
-                    # Per-message processing cost at the receivers.
-                    if inbox_dsts.size:
-                        counts = inbox.count_per_vertex()[inbox_dsts]
-                        step_ops += msg_op_cost * np.bincount(
-                            part[inbox_dsts],
-                            weights=counts.astype(np.float64),
-                            minlength=parts,
+        for superstep in range(start_superstep, max_supersteps):
+            ctx.superstep = superstep
+            if hook is not None:
+                # Master-compute hook, same placement as the scalar
+                # path: before the quiescence check, merging any
+                # returned vertices into the frontier.
+                extra = hook(superstep, ctx)
+                if extra is not None:
+                    extra_arr = np.unique(np.fromiter(
+                        (int(v) for v in extra), dtype=np.int64
+                    ))
+                    if extra_arr.size:
+                        active = (
+                            extra_arr if active.size == 0
+                            else np.union1d(active, extra_arr)
                         )
+            inbox_dsts = inbox.destinations()
+            if active.size == 0 and inbox_dsts.size == 0:
+                return program
+            if inbox_dsts.size == 0:
+                frontier = active
+            elif active.size == 0:
+                frontier = inbox_dsts
+            else:
+                frontier = np.union1d(active, inbox_dsts)
 
-                    program.compute_bulk(frontier, inbox, ctx)
+            with tracer.span("superstep", category="superstep",
+                             index=superstep, frontier=int(frontier.size)):
+                rec.begin_superstep()
+                step_ops = np.zeros(parts)
 
-                    inbox = self._route_bulk(ctx, program, step_ops, combining)
+                dense = frontier.size >= dense_threshold
+                msg_op_cost = 0.5 if (profile.push_pull and dense) else 1.0
 
-                    self._flush_superstep(ctx._agg_next, step_ops)
+                # Per-superstep scan overhead (the vertex_subset effect).
+                if profile.vertex_subset:
+                    step_ops += np.bincount(part[frontier], minlength=parts)
+                else:
+                    step_ops += self._part_sizes
 
-                    active = ctx._take_active()
-                    ctx._roll()
+                # Per-message processing cost at the receivers.
+                if inbox_dsts.size:
+                    counts = inbox.count_per_vertex()[inbox_dsts]
+                    step_ops += msg_op_cost * np.bincount(
+                        part[inbox_dsts],
+                        weights=counts.astype(np.float64),
+                        minlength=parts,
+                    )
 
-                if faults is not None:
-                    target = faults.after_superstep(superstep)
-                    if target is not None:
-                        prog_state, agg_prev, inbox, active = faults.rollback()
-                        program.__dict__.clear()
-                        program.__dict__.update(prog_state)
-                        ctx._agg_prev = agg_prev
-                        superstep = target
-                        continue
-                superstep += 1
-        finally:
-            if faults is not None:
-                faults.end_section()
+                program.compute_bulk(frontier, inbox, ctx)
+
+                inbox = self._route_bulk(ctx, program, step_ops, combining)
+
+                self._flush_superstep(ctx._agg_next, step_ops)
+
+                active = ctx._take_active()
+                ctx._roll()
 
         raise ConvergenceError(
             f"{type(program).__name__} did not quiesce within "

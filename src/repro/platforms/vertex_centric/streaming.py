@@ -7,8 +7,7 @@ affected frontier, reusing the batch compute body).  This module brings
 that split to the streaming workload of :mod:`repro.datagen.dynamic`:
 
 * :class:`StreamingSession` owns a :class:`~repro.core.delta.DeltaCSR`
-  cursor, one warm :class:`BulkVertexProgram` instance, and an update
-  log.  Window 0 is PEval — an ordinary cold
+  cursor and one warm :class:`BulkVertexProgram` instance.  Window 0 is PEval — an ordinary cold
   :meth:`~repro.platforms.vertex_centric.engine.VertexCentricEngine.run`.
   Every later window applies its :class:`~repro.datagen.dynamic.EdgeBatch`
   to the overlay, seeds the engine with boundary messages derived from
@@ -28,22 +27,32 @@ that split to the streaming workload of :mod:`repro.datagen.dynamic`:
   whose *cold* run is the fair recompute baseline: the same program, the
   same convergence criterion, started from scratch.
 
-Fault tolerance composes with the stream: the session checkpoints the
-program's state every ``checkpoint_every`` windows and, when the
-:class:`~repro.faults.FaultSchedule` crashes a window, recovers by
-restoring the latest checkpoint and replaying the logged batches through
-IncEval — deterministically, hence bit-identically (asserted by the
-dynamic benchmark's crash leg).
+Fault tolerance composes with the stream by replay-by-copy, the same
+discipline :class:`~repro.faults.FaultRuntime` applies to supersteps.
+The session checkpoints every ``checkpoint_every`` windows and keeps the
+:class:`~repro.cluster.cost.WorkTrace` of each window since the last
+checkpoint.  When the :class:`~repro.faults.FaultSchedule` crashes a
+window, recovery restores the checkpoint and re-runs those windows
+through IncEval; execution is deterministic, so the re-run would meter
+exactly those traces and rebuild exactly the pre-crash state.  The
+recovery is therefore priced as their concatenation, and the live state
+is kept as is (its bit-identity with a failure-free twin is asserted by
+the dynamic benchmark's crash leg).
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.cost import NUM_PARTS, PricedRun, TraceRecorder, price_trace
+from repro.cluster.cost import (
+    NUM_PARTS,
+    PricedRun,
+    TraceRecorder,
+    WorkTrace,
+    price_trace,
+)
 from repro.cluster.spec import ClusterSpec
 from repro.core.delta import DeltaCSR
 from repro.core.graph import Graph
@@ -246,23 +255,19 @@ class WindowResult:
     replayed_windows: int = 0
 
 
-@dataclass
-class _LogEntry:
-    """Update log record: enough to re-derive a window's IncEval seeds."""
-
-    pairs: tuple[np.ndarray, np.ndarray]
-    frontier: np.ndarray
-    graph: Graph = field(repr=False)
-
-
 class StreamingSession:
     """One algorithm tracking one edge stream, window by window.
 
     ``process_window`` is the only mutator: apply the batch to the
     overlay, run PEval (window 0) or IncEval (later windows), meter and
     price the window, checkpoint on schedule, and — if the fault schedule
-    crashes this window — lose the in-memory state and recover it from
-    the last checkpoint plus the update log.
+    crashes this window — price the recovery as a replay of the windows
+    since the last checkpoint.
+
+    Only the schedule's ``crashes`` apply at window level, and only
+    their ``superstep`` (read as a window index): a window crash loses
+    the whole session's state, so ``MachineCrash.machine`` is unused.
+    Stragglers, retransmission and transient failures are rejected.
 
     The session prices each window on its own
     :class:`~repro.cluster.cost.TraceRecorder`, so windowed throughput
@@ -289,6 +294,16 @@ class StreamingSession:
             raise PlatformError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
+        unsupported = [
+            name for name in
+            ("stragglers", "retransmit_rate", "transient_failures")
+            if getattr(fault_schedule, name)
+        ]
+        if unsupported:
+            raise PlatformError(
+                "streaming sessions inject only crashes; the fault "
+                f"schedule also sets {', '.join(unsupported)}"
+            )
         self.algorithm = algorithm
         self.profile = profile if profile is not None else get_profile("Flash")
         self.cluster = cluster if cluster is not None else ClusterSpec()
@@ -298,10 +313,9 @@ class StreamingSession:
         self.cursor = DeltaCSR(num_vertices=num_vertices)
         self.program = _make_program(algorithm, **params)
         self.window = -1            # last processed window index
-        self._log: list[_LogEntry] = []
-        #: window index -> deep-copied program state taken *after* that
-        #: window was processed
-        self._checkpoints: dict[int, dict] = {}
+        #: traces of the windows since the last checkpoint (the replay
+        #: a crash pays for)
+        self._since_checkpoint: list[WorkTrace] = []
         #: windows the schedule crashes (MachineCrash.superstep is read
         #: as a stream-window index at this level)
         self._crash_windows = {c.superstep for c in fault_schedule.crashes}
@@ -341,9 +355,6 @@ class StreamingSession:
         graph = self.cursor.rebase()
         self.window += 1
         t = self.window
-        self._log.append(
-            _LogEntry(pairs=pairs, frontier=frontier, graph=graph)
-        )
 
         recorder = TraceRecorder(self.parts)
         if t == 0:
@@ -351,24 +362,19 @@ class StreamingSession:
             self._run_peval(graph, recorder)
         else:
             mode = "inceval"
-            self._run_inceval(
-                self.program, graph, recorder, pairs, frontier
-            )
+            self._run_inceval(graph, recorder, pairs, frontier)
         priced = price_trace(recorder.trace, self.cluster, self.profile.cost)
 
         tracer.add(DELTA_EDGES_APPLIED, int(pairs[0].size))
         tracer.add(DELTA_FRONTIER_VERTICES, int(frontier.size))
         tracer.add(STREAM_WINDOWS, 1)
 
-        recovered = False
-        recovery = None
-        replayed = 0
-        if t in self._crash_windows:
-            recovery, replayed = self._recover(t)
-            recovered = True
-
+        self._since_checkpoint.append(recorder.trace)
+        recovered = t in self._crash_windows
+        recovery = self._recover() if recovered else None
+        replayed = len(self._since_checkpoint) if recovered else 0
         if t % self.checkpoint_every == 0:
-            self._checkpoints[t] = copy.deepcopy(self.program.__dict__)
+            self._since_checkpoint = []
 
         return WindowResult(
             window=t,
@@ -388,13 +394,13 @@ class StreamingSession:
 
     def _run_inceval(
         self,
-        program,
         graph: Graph,
         recorder: TraceRecorder,
         pairs: tuple[np.ndarray, np.ndarray],
         frontier: np.ndarray,
     ) -> None:
-        """Seed and resume ``program`` on ``graph`` after an edge batch."""
+        """Seed and resume the program on ``graph`` after an edge batch."""
+        program = self.program
         engine = self._engine(graph, recorder)
         if self.algorithm == "pr":
             program.refresh_graph(graph)
@@ -481,40 +487,19 @@ class StreamingSession:
 
     # -- fault tolerance ------------------------------------------------
 
-    def _recover(self, t: int) -> tuple[PricedRun, int]:
-        """Crash at window ``t``: restore the newest checkpoint and replay
-        the logged windows after it through IncEval."""
-        base = max(
-            (w for w in self._checkpoints if w <= t), default=None
+    def _recover(self) -> PricedRun:
+        """Price a crash: replay the windows since the last checkpoint.
+
+        Re-running them from the restored checkpoint would meter exactly
+        their recorded traces (deterministic execution), so the recovery
+        run is their concatenation, priced as one run.
+        """
+        replay = WorkTrace(
+            parts=self.parts,
+            steps=[step for trace in self._since_checkpoint
+                   for step in trace.steps],
         )
-        if base is None:
-            # No checkpoint yet: recompute from the stream's origin.
-            self.program = _make_program(self.algorithm, **self.params)
-            replay_from = 0
-        else:
-            self.program.__dict__.clear()
-            self.program.__dict__.update(
-                copy.deepcopy(self._checkpoints[base])
-            )
-            replay_from = base + 1
-        recorder = TraceRecorder(self.parts)
-        replayed = 0
-        for w in range(replay_from, t + 1):
-            entry = self._log[w]
-            if w == 0:
-                engine = self._engine(entry.graph, recorder)
-                engine.run(self.program)
-            else:
-                self._run_inceval(
-                    self.program,
-                    entry.graph,
-                    recorder,
-                    entry.pairs,
-                    entry.frontier,
-                )
-            replayed += 1
-        priced = price_trace(recorder.trace, self.cluster, self.profile.cost)
-        return priced, replayed
+        return price_trace(replay, self.cluster, self.profile.cost)
 
     # -- the recompute baseline ----------------------------------------
 

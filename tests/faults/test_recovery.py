@@ -3,13 +3,14 @@
 The design invariant: a crashed-and-recovered run must produce output
 bit-identical to the failure-free run, and the timeline's reconstructed
 failure-free trace must equal the failure-free run's trace
-record-for-record.  Determinism makes both disciplines (engine-managed
-re-execution and recorder-managed replay-by-copy) exact.
+record-for-record.  Determinism makes the one recovery discipline,
+replay-by-copy, exactly equivalent to re-execution.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster.spec import scale_out
 from repro.datagen.fft import generate_fft
 from repro.faults import EMPTY_SCHEDULE, FaultSchedule, MachineCrash
@@ -99,6 +100,26 @@ class TestCrashRecovery:
 
 
 @pytest.mark.parametrize("platform_name,algorithm,crash_step", ENGINE_FAMILIES)
+def test_counters_count_each_superstep_once(platform_name, algorithm,
+                                            crash_step, graph, cluster):
+    """One counter rule under faults for every engine family: the
+    ``supersteps`` and ``compute_ops`` counters see each logical
+    superstep once, and replays are counted apart."""
+    sched = FaultSchedule(crashes=(MachineCrash(crash_step, machine=1),))
+    with obs.tracing() as tracer:
+        run = get_platform(platform_name).run(
+            algorithm, graph, cluster, fault_schedule=sched,
+            checkpoint_interval=2,
+        )
+    count = tracer.counters.get
+    assert count(obs.SUPERSTEPS_REPLAYED) > 0
+    assert (count(obs.SUPERSTEPS) + count(obs.SUPERSTEPS_REPLAYED)
+            == run.trace.supersteps)
+    ff = run.timeline.failure_free_trace(run.trace)
+    assert count(obs.COMPUTE_OPS) == ff.total_ops
+
+
+@pytest.mark.parametrize("platform_name,algorithm,crash_step", ENGINE_FAMILIES)
 def test_empty_schedule_is_bit_identical(platform_name, algorithm, crash_step,
                                          graph, cluster):
     """An empty schedule attaches no runtime: trace and price exactly
@@ -176,3 +197,91 @@ def test_direct_metering_routines_recover(graph, cluster):
     assert len(faulted.timeline.crashes) == 1
     assert traces_equal(faulted.timeline.failure_free_trace(faulted.trace),
                         baseline.trace)
+
+
+#: Literal fault timelines, one per recovery path: each engine loop
+#: (vertex- and edge-centric, scalar and bulk), BC's two engine sections,
+#: a two-crash schedule, ``checkpoint_interval=1``, Grape and G-thinker.
+#: Columns: case, platform, algorithm, extra run options, crashes as
+#: ``(superstep, machine)``, checkpoint interval, then the expected
+#: checkpoints ``(superstep, trace_index)``, crashes ``(superstep,
+#: machine, trace_index, rollback_to, replayed)``, ``step_supersteps``,
+#: checkpoint seconds and recovery seconds.
+PINNED_TIMELINES = [
+    ('vertex-scalar', 'Pregel+', 'pr', {'engine_mode': 'scalar'}, ((2, 1),), 2,
+     [(2, 2), (4, 5), (6, 7), (8, 9), (10, 11)],
+     [(2, 1, 3, 2, 1)],
+     [0, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+     0.28373333333333334, 2.3021004786807358),
+    ('vertex-bulk', 'Pregel+', 'pr', {'engine_mode': 'bulk'}, ((2, 1),), 2,
+     [(2, 2), (4, 5), (6, 7), (8, 9), (10, 11)],
+     [(2, 1, 3, 2, 1)],
+     [0, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+     0.28373333333333334, 2.3021004786807358),
+    ('edge-scalar', 'PowerGraph', 'sssp', {'engine_mode': 'scalar'}, ((1, 2),), 2,
+     [(2, 4)],
+     [(1, 2, 2, 0, 2)],
+     [0, 1, 0, 1, 2],
+     0.1024, 4.690297019653319),
+    ('edge-bulk', 'PowerGraph', 'sssp', {'engine_mode': 'bulk'}, ((1, 2),), 2,
+     [(2, 4)],
+     [(1, 2, 2, 0, 2)],
+     [0, 1, 0, 1, 2],
+     0.1024, 4.690297019653319),
+    ('bc-two-sections', 'Pregel+', 'bc', {}, ((4, 2),), 3,
+     [(3, 3)],
+     [(4, 2, 5, 4, 1)],
+     [0, 1, 2, 3, 4, 4, 5],
+     0.0448, 2.1755254795140693),
+    ('two-crashes', 'Flash', 'wcc', {}, ((2, 1), (4, 3)), 3,
+     [(3, 6)],
+     [(2, 1, 3, 0, 3), (4, 3, 8, 3, 2)],
+     [0, 1, 2, 0, 1, 2, 3, 4, 3, 4],
+     0.0512, 35.02213229819509),
+    ('interval-1', 'GraphX', 'lpa', {}, ((3, 1),), 1,
+     [(1, 1), (2, 2), (3, 3), (4, 5), (5, 6), (6, 7)],
+     [(3, 1, 4, 3, 1)],
+     [0, 1, 2, 3, 3, 4, 5],
+     0.8959999999999999, 251.0264713472237),
+    ('grape', 'Grape', 'pr', {}, ((2, 1),), 2,
+     [(2, 2), (4, 5), (6, 7), (8, 9), (10, 11)],
+     [(2, 1, 3, 2, 1)],
+     [0, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9],
+     0.20266666666666663, 2.6249107025001446),
+    ('gthinker', 'G-thinker', 'tc', {}, ((0, 1),), 2,
+     [],
+     [(0, 1, 1, 0, 1)],
+     [0, 0],
+     0.0, 5.256230103611255),
+]
+
+
+@pytest.mark.parametrize(
+    "case,platform_name,algorithm,extra,crashes,interval,"
+    "checkpoints,crash_events,step_supersteps,checkpoint_s,recovery_s",
+    PINNED_TIMELINES,
+    ids=[row[0] for row in PINNED_TIMELINES],
+)
+def test_timeline_pinned(case, platform_name, algorithm, extra, crashes,
+                         interval, checkpoints, crash_events, step_supersteps,
+                         checkpoint_s, recovery_s, graph, cluster):
+    """Recovery must not move a checkpoint, a crash, or a replayed record:
+    the whole timeline is pinned, not only the recovered output."""
+    sched = FaultSchedule(
+        crashes=tuple(MachineCrash(s, machine=m) for s, m in crashes)
+    )
+    run = get_platform(platform_name).run(
+        algorithm, graph, cluster, fault_schedule=sched,
+        checkpoint_interval=interval, **extra,
+    )
+    timeline = run.timeline
+    assert [(c.superstep, c.trace_index)
+            for c in timeline.checkpoints] == checkpoints
+    assert [(c.superstep, c.machine, c.trace_index, c.rollback_to,
+             c.replayed) for c in timeline.crashes] == crash_events
+    assert timeline.step_supersteps == step_supersteps
+    assert len(run.trace.steps) == len(step_supersteps)
+    assert run.priced.checkpoint_seconds == pytest.approx(checkpoint_s,
+                                                          rel=1e-12)
+    assert run.priced.recovery_seconds == pytest.approx(recovery_s,
+                                                        rel=1e-12)

@@ -10,7 +10,7 @@ from repro.bench.dynamic_exp import lpa_is_stable
 from repro.core.partition import hash_partition
 from repro.datagen.dynamic import EdgeBatch, generate_stream
 from repro.errors import PlatformError
-from repro.faults.schedule import FaultSchedule, MachineCrash
+from repro.faults.schedule import FaultSchedule, MachineCrash, StragglerWindow
 from repro.platforms.registry import get_profile
 from repro.platforms.vertex_centric.engine import VertexCentricEngine
 from repro.platforms.vertex_centric.programs import PageRankProgram
@@ -156,6 +156,18 @@ class TestSessionValidation:
     def test_bad_checkpoint_interval(self):
         with pytest.raises(PlatformError):
             StreamingSession(10, "wcc", checkpoint_every=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("stragglers", (StragglerWindow(machine=0, factor=2.0),)),
+        ("retransmit_rate", 0.1),
+        ("transient_failures", 1),
+    ])
+    def test_rejects_non_crash_faults(self, field, value):
+        """Only crashes apply at window level; anything else in the
+        schedule is refused rather than silently dropped."""
+        schedule = FaultSchedule(**{field: value})
+        with pytest.raises(PlatformError, match=field):
+            StreamingSession(10, "wcc", fault_schedule=schedule)
 
     def test_algorithm_table_is_complete(self):
         batch = EdgeBatch(time=0, src=np.array([0, 1, 2]),

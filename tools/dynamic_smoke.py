@@ -10,8 +10,8 @@ path holds its contract:
   program, and the summed speedup clears 3x;
 * per-window result parity (bit-exact for WCC, certified tolerance for
   PR) — checked inside ``run_dynamic_case``, which raises on violation;
-* a crash mid-stream recovers bit-identically by replaying the update
-  log from the last checkpoint.
+* a crash mid-stream leaves the state bit-identical to a failure-free
+  twin and prices a replay of the windows since the last checkpoint.
 
 Exits non-zero with a diagnostic on any violation.
 """
@@ -56,7 +56,7 @@ def main() -> int:
     if not crash["bit_identical"]:
         failures.append("crash replay did not recover bit-identically")
     if crash["replayed_windows"] < 1:
-        failures.append("crash recovery replayed no update-log windows")
+        failures.append("crash recovery replayed no windows")
 
     if failures:
         for line in failures:
