@@ -62,12 +62,14 @@ class CommunityStatistics:
 def detect_communities(
     graph: Graph, *, max_rounds: int = 20, seed: int = 0
 ) -> list[np.ndarray]:
-    """Partition the graph into communities with synchronous min-label LPA.
+    """Partition the graph into communities with asynchronous min-label LPA.
 
     Vertices repeatedly adopt the most frequent label among their
-    neighbours (ties broken by the smallest label, making the run
-    deterministic).  Isolated vertices form singleton communities.
-    Returns communities sorted by decreasing size.
+    neighbours (ties broken by the smallest label), visited in one
+    ``seed``-drawn order and updated in place, so a vertex already sees
+    the labels its predecessors adopted this round.  Unlike synchronous
+    LPA this cannot oscillate between two states.  Isolated vertices form
+    singleton communities.  Returns communities sorted by decreasing size.
     """
     und = graph.to_undirected()
     n = und.num_vertices

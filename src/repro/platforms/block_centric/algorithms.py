@@ -23,6 +23,7 @@ from repro.platforms.kernels import (
     closed_wedge_corners,
     forward_adjacency,
     forward_edge_arrays,
+    segmented_mode,
     simple_degrees,
     unique_pull_pairs,
 )
@@ -144,22 +145,14 @@ def lpa_blocks(engine: BlockCentricEngine, *, iterations: int = 10) -> np.ndarra
     graph = engine.graph.to_undirected()
     n = graph.num_vertices
     labels = np.arange(n, dtype=np.int64)
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     slots = _block_slot_counts(engine)
     cut = _cut_matrix(engine)
 
     for _ in range(iterations):
         engine.begin_round()
-        updated = labels.copy()
-        changed = False
-        for v in range(n):
-            neigh = graph.neighbors(v)
-            if neigh.size == 0:
-                continue
-            values, counts = np.unique(labels[neigh], return_counts=True)
-            best = int(values[counts == counts.max()].min())
-            if best != updated[v]:
-                updated[v] = best
-                changed = True
+        updated = segmented_mode(owner, labels[graph.indices], labels)
+        changed = bool((updated != labels).any())
         for b in range(engine.parts):
             engine.charge(b, slots[b])
         _send_cut(engine, cut, 8.0)

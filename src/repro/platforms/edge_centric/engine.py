@@ -59,7 +59,11 @@ from repro.cluster.cost import TraceRecorder
 from repro.core.graph import Graph
 from repro.errors import ConvergenceError, PlatformError
 from repro.obs import get_tracer
-from repro.platforms.kernels import expand_segments, lexsorted_csr
+from repro.platforms.kernels import (
+    expand_segments,
+    lexsorted_csr,
+    segmented_mode,
+)
 from repro.platforms.profile import PlatformProfile
 
 __all__ = [
@@ -549,8 +553,7 @@ class EdgeCentricEngine:
 
                 gathered = counts > 0
                 acc = _reduce_contributions(
-                    mode, contrib, dst_pos, edge_parts, counts,
-                    front, parts, graph.num_vertices,
+                    mode, contrib, dst_pos, edge_parts, counts, front, parts
                 )
 
                 # Apply at the masters.
@@ -610,7 +613,6 @@ def _reduce_contributions(
     counts: np.ndarray,
     front: int,
     parts: int,
-    num_vertices: int,
 ) -> np.ndarray:
     """Reduce per-edge contributions to one accumulator per frontier slot.
 
@@ -650,16 +652,4 @@ def _reduce_contributions(
         return acc
     # "majority": most frequent contribution per vertex, ties to the
     # smallest value — the scalar label-histogram apply, vectorized.
-    acc = np.full(front, -1, dtype=np.int64)
-    if contrib.size:
-        span = np.int64(max(1, num_vertices))
-        keys, key_counts = np.unique(
-            dst_pos * span + contrib, return_counts=True
-        )
-        key_pos, key_val = keys // span, keys % span
-        order = np.lexsort((key_val, -key_counts, key_pos))
-        pos_sorted = key_pos[order]
-        first = np.ones(pos_sorted.size, dtype=bool)
-        first[1:] = pos_sorted[1:] != pos_sorted[:-1]
-        acc[pos_sorted[first]] = key_val[order][first]
-    return acc
+    return segmented_mode(dst_pos, contrib, np.full(front, -1, dtype=np.int64))

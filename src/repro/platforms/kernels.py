@@ -5,8 +5,9 @@ subgraph-centric — is built from the same handful of flat-CSR
 primitives: segment expansion (`np.repeat` gathers instead of
 per-vertex slicing), lexsorted CSR construction, the forward edge
 orientation behind the O(m^1.5) subgraph algorithms, sorted-key edge
-membership, and chunked random draws.  This module is their single
-home; the per-engine packages import from here and add only metering.
+membership, the segmented mode behind every bulk LPA, and chunked
+random draws.  This module is their single home; the per-engine
+packages import from here and add only metering.
 
 Design invariants the bulk paths rely on:
 
@@ -32,6 +33,7 @@ from repro.core.graph import Graph
 __all__ = [
     "expand_segments",
     "lexsorted_csr",
+    "segmented_mode",
     "vertex_order_positions",
     "forward_adjacency",
     "forward_edge_arrays",
@@ -178,6 +180,47 @@ def lexsorted_csr(
     )
     extras = tuple(None if a is None else a[order] for a in aligned)
     return (indptr, src_sorted, dst_sorted, *extras)
+
+
+def segmented_mode(
+    seg: np.ndarray, values: np.ndarray, fill: np.ndarray
+) -> np.ndarray:
+    """Most frequent value per segment, ties to the smallest value.
+
+    ``values[i]`` belongs to segment ``seg[i]`` (ids in any order);
+    ``fill`` holds one entry per segment, kept by segments with no
+    values.  Returns a fresh int64 array shaped like ``fill``.  One sort
+    of the packed keys ``seg * span + value`` (``span = max + 1``) lays
+    each segment's equal values out as runs in ascending value order,
+    so the first run reaching the segment's top count is the smallest
+    modal value — the per-segment ``np.unique(..., return_counts=True)``
+    mode without the loop.  Raises ``ValueError`` on a negative value or
+    when a packed key would overflow int64.
+    """
+    out = np.array(fill, dtype=np.int64)
+    seg = np.asarray(seg, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    if values.size == 0:
+        return out
+    if values.min() < 0:
+        raise ValueError("segmented_mode needs non-negative values")
+    span = int(values.max()) + 1
+    if (int(seg.max()) + 1) * span - 1 > np.iinfo(np.int64).max:
+        raise ValueError("segmented_mode keys would overflow int64")
+    keys = seg * span + values
+    keys.sort()
+    run_start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    run_key = keys[run_start]
+    run_count = np.diff(np.r_[run_start, keys.size])
+    run_seg = run_key // span
+    seg_start = np.flatnonzero(np.r_[True, run_seg[1:] != run_seg[:-1]])
+    top = np.maximum.reduceat(run_count, seg_start)
+    seg_runs = np.diff(np.r_[seg_start, run_seg.size])
+    top_key = run_key[run_count == np.repeat(top, seg_runs)]
+    top_seg = top_key // span
+    first = np.r_[True, top_seg[1:] != top_seg[:-1]]
+    out[top_seg[first]] = top_key[first] % span
+    return out
 
 
 def vertex_order_positions(graph: Graph) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.graph import Graph
 from repro.errors import GraphStructureError
-from repro.platforms.kernels import forward_adjacency
+from repro.platforms.kernels import forward_adjacency, segmented_mode
 from repro.platforms.vertex_centric.engine import (
     BulkInbox,
     BulkVertexContext,
@@ -157,7 +157,7 @@ class LabelPropagationProgram(BulkVertexProgram):
             ctx.charge_bulk(
                 recv, self.hash_merge_factor * counts[recv].astype(np.float64)
             )
-            best = self._modal_min_labels(inbox)
+            best = segmented_mode(*inbox.raw(), self.labels)
             changed = recv[best[recv] != self.labels[recv]]
             if changed.size:
                 self.labels[changed] = best[changed]
@@ -171,32 +171,6 @@ class LabelPropagationProgram(BulkVertexProgram):
             if senders.size:
                 ctx.send_to_neighbors_bulk(senders, self.labels[senders])
             ctx.activate_bulk(frontier)
-
-    def _modal_min_labels(self, inbox: BulkInbox) -> np.ndarray:
-        """Per-vertex modal label with min-label tie-breaking, matching
-        the scalar path's ``np.unique``-based mode exactly."""
-        dst, values = inbox.raw()
-        labels = np.asarray(values, dtype=np.int64)
-        order = np.lexsort((labels, dst))
-        d, l = dst[order], labels[order]
-        # Run-length encode consecutive (dst, label) pairs.
-        boundary = np.empty(d.size, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (d[1:] != d[:-1]) | (l[1:] != l[:-1])
-        run_start = np.nonzero(boundary)[0]
-        run_d = d[run_start]
-        run_l = l[run_start]
-        run_count = np.diff(np.append(run_start, d.size))
-        # Order runs by (dst, -count, label): the first run per dst is
-        # the most frequent label, smallest id on ties.
-        sel = np.lexsort((run_l, -run_count, run_d))
-        sd = run_d[sel]
-        first = np.empty(sd.size, dtype=bool)
-        first[0] = True
-        first[1:] = sd[1:] != sd[:-1]
-        best = self.labels.copy()
-        best[sd[first]] = run_l[sel][first]
-        return best
 
 
 class SSSPProgram(BulkVertexProgram):

@@ -66,6 +66,7 @@ from repro.obs.counters import (
     DELTA_FRONTIER_VERTICES,
     STREAM_WINDOWS,
 )
+from repro.platforms.kernels import segmented_mode
 from repro.platforms.profile import PlatformProfile, get_profile
 from repro.platforms.vertex_centric.engine import (
     BulkInbox,
@@ -197,13 +198,7 @@ class DeltaLabelPropagationProgram(LabelPropagationProgram):
             self.hash_merge_factor
             * degrees[degrees > 0].astype(np.float64),
         )
-        synth = BulkInbox(
-            graph.num_vertices,
-            dst=owner,
-            values=self.labels[nbrs],
-            counts=np.bincount(owner, minlength=graph.num_vertices),
-        )
-        best = self._modal_min_labels(synth)
+        best = segmented_mode(owner, self.labels[nbrs], self.labels)
         changed = pullers[best[pullers] != self.labels[pullers]]
         if changed.size == 0:
             return

@@ -36,6 +36,18 @@ def test_detect_communities_finds_cliques(two_cliques):
     assert {4, 5, 6, 7} in as_sets
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_detect_communities_is_asynchronous(seed):
+    """On one edge, in-place updates settle while synchronous LPA swaps
+    the two labels every round and ends on ``[0, 1]`` after 20."""
+    from repro.algorithms.reference.lpa import label_propagation
+
+    edge = Graph.from_edges([0], [1], num_vertices=2)
+    comms = detect_communities(edge, seed=seed)
+    assert [c.tolist() for c in comms] == [[0, 1]]
+    assert label_propagation(edge, max_iterations=20).tolist() == [0, 1]
+
+
 def test_community_statistics_clique(two_cliques):
     stats = community_statistics(two_cliques, np.array([0, 1, 2, 3]))
     assert stats.cc == pytest.approx(1.0)

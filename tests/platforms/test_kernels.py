@@ -10,6 +10,8 @@ branches.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import Graph, path_graph, random_graph, star_graph
 from repro.platforms.kernels import (
@@ -19,6 +21,7 @@ from repro.platforms.kernels import (
     forward_adjacency,
     forward_edge_arrays,
     lexsorted_csr,
+    segmented_mode,
     self_loop_counts,
     simple_degrees,
     unique_pull_pairs,
@@ -119,6 +122,79 @@ class TestLexsortedCSR:
         indptr, s, d = lexsorted_csr(np.array([]), np.array([]), 3)
         assert np.array_equal(indptr, [0, 0, 0, 0])
         assert s.size == 0 and d.size == 0
+
+
+def _loop_mode(seg, values, fill):
+    """The per-segment ``np.unique`` mode every scalar LPA computes."""
+    out = np.array(fill, dtype=np.int64)
+    for s in np.unique(seg):
+        vals, counts = np.unique(values[seg == s], return_counts=True)
+        out[s] = vals[counts == counts.max()].min()
+    return out
+
+
+@st.composite
+def segmented_inputs(draw):
+    """Unsorted segment ids, some segments left empty, values drawn from
+    ranges narrow enough for heavy ties or wide enough for huge spans."""
+    segments = draw(st.integers(1, 12))
+    size = draw(st.integers(0, 60))
+    top = draw(st.sampled_from([0, 1, 3, 50, 2**40]))
+    ints = st.lists(st.integers(0, segments - 1), min_size=size, max_size=size)
+    vals = st.lists(st.integers(0, top), min_size=size, max_size=size)
+    fill = st.lists(
+        st.integers(-3, 3), min_size=segments, max_size=segments
+    )
+    return (
+        np.array(draw(ints), dtype=np.int64),
+        np.array(draw(vals), dtype=np.int64),
+        np.array(draw(fill), dtype=np.int64),
+    )
+
+
+class TestSegmentedMode:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(segmented_inputs())
+    def test_matches_per_segment_unique_loop(self, case):
+        seg, values, fill = case
+        out = segmented_mode(seg, values, fill)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, _loop_mode(seg, values, fill))
+
+    def test_ties_go_to_smallest_value(self):
+        seg = np.zeros(6, dtype=np.int64)
+        out = segmented_mode(seg, np.array([5, 3, 5, 3, 0, 9]), np.array([7]))
+        assert out.tolist() == [3]
+
+    def test_empty_segments_keep_fill(self):
+        fill = np.array([-1, -1, -1, -1])
+        out = segmented_mode(np.array([2, 0, 2]), np.array([4, 1, 4]), fill)
+        assert out.tolist() == [1, -1, 4, -1]
+        assert fill.tolist() == [-1, -1, -1, -1]  # fill is not written
+
+    def test_values_zero_and_span_minus_one(self):
+        out = segmented_mode(
+            np.array([1, 0, 1, 0, 1]), np.array([7, 0, 0, 7, 7]),
+            np.zeros(2, dtype=np.int64),
+        )
+        assert out.tolist() == [0, 7]
+
+    def test_empty_input_returns_fresh_fill(self):
+        fill = np.array([4, 5])
+        out = segmented_mode(np.array([]), np.array([]), fill)
+        assert out.tolist() == [4, 5] and out.dtype == np.int64
+        assert out is not fill
+
+    def test_negative_value_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            segmented_mode(np.array([0, 0]), np.array([1, -1]), np.zeros(1))
+
+    def test_packed_key_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflow"):
+            segmented_mode(
+                np.array([0, 3]), np.array([0, 2**62]), np.zeros(4)
+            )
 
 
 class TestForwardView:
