@@ -11,21 +11,20 @@ diameter, reproducing Grape's diameter insensitivity (Section 8.2).
 from __future__ import annotations
 
 import heapq
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.graph import Graph
 from repro.errors import GraphStructureError
 from repro.platforms.block_centric.engine import BlockCentricEngine
 from repro.platforms.kernels import (
     aggregate_pull_pairs,
     clique_expansion_census,
-    closed_wedge_corners,
-    forward_adjacency,
+    clustering_coefficients,
     forward_edge_arrays,
     segmented_mode,
-    simple_degrees,
-    unique_pull_pairs,
+    triangle_census,
 )
 
 __all__ = [
@@ -34,12 +33,9 @@ __all__ = [
     "sssp_blocks",
     "wcc_blocks",
     "bc_blocks",
-    "bc_blocks_bulk",
     "cd_blocks",
     "tc_blocks",
-    "tc_blocks_bulk",
     "kc_blocks",
-    "kc_blocks_bulk",
     "bfs_blocks",
     "lcc_blocks",
 ]
@@ -52,37 +48,46 @@ def bfs_blocks(engine: BlockCentricEngine, *, source: int = 0) -> np.ndarray:
     return levels
 
 
-def lcc_blocks(engine: BlockCentricEngine) -> np.ndarray:
-    """LCC: forward-oriented triangle counting with corner credits,
-    each block processing its own roots (LDBC comparison suite)."""
-    graph = engine.graph.to_undirected()
-    forward = forward_adjacency(graph)
-    block_of = engine.block_of
-    n = graph.num_vertices
-    triangles = np.zeros(n, dtype=np.int64)
+def _census_round(
+    engine: BlockCentricEngine, census: Callable[..., tuple]
+) -> Any:
+    """Run one forward-CSR census as a single PEval round and meter it.
+
+    ``census`` is :func:`~repro.platforms.kernels.triangle_census` or a
+    bound :func:`~repro.platforms.kernels.clique_expansion_census`; each
+    block roots the tasks of its own vertices.  Ops are charged per
+    block, and each remote forward list is pulled once per (rooting
+    block, vertex), aggregated into one message block per block pair.
+    Returns the census's first element.
+    """
+    graph = engine.graph
+    findptr, fsrc, fdst = forward_edge_arrays(graph)
     engine.begin_round()
-    pulled: set[tuple[int, int]] = set()
-    for v in range(n):
-        b = int(block_of[v])
-        fv = forward[v]
-        for u in fv.tolist():
-            bu = int(block_of[u])
-            if bu != b and (b, u) not in pulled:
-                pulled.add((b, u))
-                engine.send(bu, b, 8.0 * forward[u].size)
-            engine.charge(b, float(fv.size + forward[u].size))
-            common = np.intersect1d(fv, forward[u], assume_unique=True)
-            if common.size:
-                triangles[v] += common.size
-                triangles[u] += common.size
-                triangles[common] += 1
+    result, ops, pull_root, pull_vertex, _ = census(
+        findptr, fsrc, fdst, graph.num_vertices,
+        owner=engine.block_of, parts=engine.parts,
+    )
+    for b in np.flatnonzero(ops).tolist():
+        engine.charge(b, float(ops[b]))
+    src, dst, counts, nbytes = aggregate_pull_pairs(
+        pull_root, pull_vertex, engine.block_of, np.diff(findptr),
+        engine.parts,
+    )
+    for s, d, c, nb in zip(src.tolist(), dst.tolist(),
+                           counts.tolist(), nbytes.tolist()):
+        engine.send_block(s, d, nb, c)
     engine.end_round()
-    # Wedges are defined over the simple graph: self-loop slots do not
-    # contribute, and degree-0/1 vertices get coefficient 0.0.
-    degrees = simple_degrees(graph)
-    wedges = degrees * (degrees - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(wedges > 0, 2.0 * triangles / wedges, 0.0)
+    return result
+
+
+def lcc_blocks(engine: BlockCentricEngine) -> np.ndarray:
+    """LCC: the TC round, with each triangle credited to its three
+    corners (LDBC comparison suite)."""
+    n = engine.graph.num_vertices
+    v, u, w = _census_round(engine, triangle_census)
+    triangles = (np.bincount(v, minlength=n) + np.bincount(u, minlength=n)
+                 + np.bincount(w, minlength=n))
+    return clustering_coefficients(engine.graph, triangles)
 
 
 def _cut_matrix(engine: BlockCentricEngine) -> np.ndarray:
@@ -279,68 +284,13 @@ def wcc_blocks(engine: BlockCentricEngine) -> np.ndarray:
 
 def bc_blocks(engine: BlockCentricEngine, *, source: int = 0) -> np.ndarray:
     """Single-source Brandes: block-wave depth computation, then
-    level-synchronized sigma and delta passes over cut DAG edges."""
-    graph = engine.graph
-    n = graph.num_vertices
-    block_of = engine.block_of
+    level-synchronized sigma and delta passes over cut DAG edges.
 
-    # Phase 1: depths via unit-weight block SSSP (metered inside).
-    depth_f = sssp_blocks(engine, source=source)
-    depth = np.where(np.isinf(depth_f), -1, depth_f).astype(np.int64)
-    max_depth = int(depth.max()) if n else -1
-
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    dst = graph.indices
-    dag = depth[src] + 1 == depth[dst]
-    dag &= (depth[src] >= 0)
-    dag_src, dag_dst = src[dag], dst[dag]
-
-    # Phase 2: sigma, one round per level.
-    sigma = np.zeros(n, dtype=np.float64)
-    sigma[source] = 1.0
-    for level in range(1, max_depth + 1):
-        engine.begin_round()
-        sel = depth[dag_dst] == level
-        contrib = sigma[dag_src[sel]]
-        np.add.at(sigma, dag_dst[sel], contrib)
-        for b in range(engine.parts):
-            engine.charge(b, max(1.0, float((block_of[dag_dst[sel]] == b).sum())))
-        cross = block_of[dag_src[sel]] != block_of[dag_dst[sel]]
-        for i, j in zip(block_of[dag_src[sel][cross]].tolist(),
-                        block_of[dag_dst[sel][cross]].tolist()):
-            engine.send(int(i), int(j), 16.0)
-        engine.end_round()
-
-    # Phase 3: delta, deepest level first.
-    delta = np.zeros(n, dtype=np.float64)
-    for level in range(max_depth, 0, -1):
-        engine.begin_round()
-        sel = depth[dag_dst] == level
-        s, d = dag_src[sel], dag_dst[sel]
-        contrib = sigma[s] / sigma[d] * (1.0 + delta[d])
-        np.add.at(delta, s, contrib)
-        for b in range(engine.parts):
-            engine.charge(b, max(1.0, float((block_of[s] == b).sum())))
-        cross = block_of[s] != block_of[d]
-        for i, j in zip(block_of[d[cross]].tolist(), block_of[s[cross]].tolist()):
-            engine.send(int(i), int(j), 16.0)
-        engine.end_round()
-    delta[source] = 0.0
-    return delta
-
-
-def bc_blocks_bulk(engine: BlockCentricEngine, *, source: int = 0) -> np.ndarray:
-    """Array-native twin of :func:`bc_blocks`, metering bit-identically.
-
-    Phase 1 (depths) is the shared :func:`sssp_blocks` pass in both
-    paths — its rounds are reused verbatim.  Phases 2 and 3 keep the
-    exact ``np.add.at`` sigma/delta arithmetic of the scalar pass (so
-    float accumulation order is unchanged) and vectorize only the
-    metering: the per-block op charges collapse into one ``np.bincount``
-    (still charging ``max(1, count)`` to all blocks, like the scalar
-    loop), and the per-DAG-edge 16-byte sends collapse into one counted
-    ``send`` per (src block, dst block) pair.  Counts and bytes are
-    integers, so the per-round totals are exact.
+    Phase 1 (depths) is the :func:`sssp_blocks` pass.  Phases 2 and 3
+    accumulate sigma and delta with ``np.add.at`` over the DAG edges of
+    one level per round; every block is charged ``max(1, count)`` of
+    that level's DAG edges it owns, and each cut DAG edge is one
+    16-byte message, sent as one counted ``send`` per block pair.
     """
     graph = engine.graph
     n = graph.num_vertices
@@ -458,81 +408,11 @@ def cd_blocks(engine: BlockCentricEngine) -> np.ndarray:
 
 
 def tc_blocks(engine: BlockCentricEngine) -> int:
-    """TC: each block counts triangles rooted at its vertices, pulling
-    remote forward-adjacency lists once each (cached per block)."""
-    graph = engine.graph
-    forward = forward_adjacency(graph)
-    block_of = engine.block_of
-    total = 0
-    engine.begin_round()
-    pulled: set[tuple[int, int]] = set()
-    for v in range(graph.num_vertices):
-        b = int(block_of[v])
-        fv = forward[v]
-        for u in fv.tolist():
-            bu = int(block_of[u])
-            if bu != b and (b, u) not in pulled:
-                pulled.add((b, u))
-                engine.send(bu, b, 8.0 * forward[u].size)
-            engine.charge(b, float(fv.size + forward[u].size))
-            total += int(np.intersect1d(fv, forward[u], assume_unique=True).size)
-    engine.end_round()
-    return total
-
-
-def tc_blocks_bulk(engine: BlockCentricEngine) -> int:
-    """Array-native twin of :func:`tc_blocks`, metering bit-identically.
-
-    The scalar pass charges ``fdeg(v) + fdeg(u)`` per forward edge and
-    pulls each remote forward list once per (rooting block, vertex)
-    pair; both are integer-valued, so summing them with ``np.bincount``
-    instead of one :meth:`~.engine.BlockCentricEngine.charge`/
-    :meth:`~.engine.BlockCentricEngine.send` call per edge cannot change
-    the float64 totals — only the Python-loop wall-clock.  Triangles are
-    wedges ``(v, u, w)`` with ``u`` forward of ``v`` and ``w`` forward
-    of ``u``, closed when ``(v, w)`` is itself a forward edge — a sorted
-    key-membership test over the flat edge list.
-    """
-    graph = engine.graph
-    block_of = engine.block_of
-    n = graph.num_vertices
-    findptr, fsrc, fdst = forward_edge_arrays(graph)
-    fdeg = np.diff(findptr)
-    total = 0
-    engine.begin_round()
-    if fsrc.size:
-        charges = (fdeg[fsrc] + fdeg[fdst]).astype(np.float64)
-        ops = np.bincount(block_of[fsrc], weights=charges,
-                          minlength=engine.parts)
-        for b in np.flatnonzero(ops).tolist():
-            engine.charge(b, float(ops[b]))
-
-        # One pull per unique (rooting block, remote vertex) pair,
-        # aggregated into a single metering call per block pair.
-        pull_root, pull_vertex, _ = unique_pull_pairs(
-            block_of[fsrc], fdst, block_of, n
-        )
-        _send_pull_blocks(engine, pull_root, pull_vertex, fdeg)
-
-        v, _, _ = closed_wedge_corners(findptr, fsrc, fdst, n)
-        total = int(v.size)
-    engine.end_round()
-    return total
-
-
-def _send_pull_blocks(
-    engine: BlockCentricEngine,
-    pull_root: np.ndarray,
-    pull_vertex: np.ndarray,
-    fdeg: np.ndarray,
-) -> None:
-    """Meter deduplicated adjacency pulls as per block-pair blocks."""
-    src, dst, counts, nbytes = aggregate_pull_pairs(
-        pull_root, pull_vertex, engine.block_of, fdeg, engine.parts
-    )
-    for s, d, c, b in zip(src.tolist(), dst.tolist(),
-                          counts.tolist(), nbytes.tolist()):
-        engine.send_block(int(s), int(d), float(b), int(c))
+    """TC: each block counts the triangles rooted at its vertices,
+    pulling remote forward-adjacency lists once each (cached per
+    block)."""
+    v, _, _ = _census_round(engine, triangle_census)
+    return int(v.size)
 
 
 def kc_blocks(engine: BlockCentricEngine, *, k: int = 4) -> int:
@@ -540,61 +420,4 @@ def kc_blocks(engine: BlockCentricEngine, *, k: int = 4) -> int:
     root's block; remote adjacency is pulled once per (block, vertex)."""
     if k < 3:
         raise GraphStructureError(f"k must be >= 3 for KC, got {k}")
-    graph = engine.graph
-    forward = forward_adjacency(graph)
-    block_of = engine.block_of
-    total = 0
-    engine.begin_round()
-    pulled: set[tuple[int, int]] = set()
-
-    def fetch(b: int, u: int) -> np.ndarray:
-        bu = int(block_of[u])
-        if bu != b and (b, u) not in pulled:
-            pulled.add((b, u))
-            engine.send(bu, b, 8.0 * forward[u].size)
-        return forward[u]
-
-    for v in range(graph.num_vertices):
-        b = int(block_of[v])
-        stack = [(1, forward[v])]
-        engine.charge(b, max(1.0, float(forward[v].size)))
-        while stack:
-            size, candidates = stack.pop()
-            if size == k - 1:
-                total += int(candidates.size)
-                continue
-            for u in candidates.tolist():
-                fu = fetch(b, u)
-                engine.charge(b, float(candidates.size + fu.size))
-                narrowed = np.intersect1d(candidates, fu, assume_unique=True)
-                if narrowed.size >= k - size - 2:
-                    stack.append((size + 1, narrowed))
-    engine.end_round()
-    return total
-
-
-def kc_blocks_bulk(engine: BlockCentricEngine, *, k: int = 4) -> int:
-    """Array-native twin of :func:`kc_blocks`, metering bit-identically.
-
-    The scalar pass explores each root's expansion tree depth-first; the
-    bulk pass runs the same tree level-synchronously via
-    :func:`~repro.platforms.kernels.clique_expansion_census`.  The set of
-    expanded (task, candidate) pairs — and hence the integer op charges
-    and the deduplicated (block, vertex) pull set — is identical, and the
-    single round cannot observe traversal order.
-    """
-    if k < 3:
-        raise GraphStructureError(f"k must be >= 3 for KC, got {k}")
-    graph = engine.graph
-    n = graph.num_vertices
-    findptr, fsrc, fdst = forward_edge_arrays(graph)
-    engine.begin_round()
-    total, ops, pull_root, pull_vertex, _ = clique_expansion_census(
-        findptr, fsrc, fdst, n, k, engine.block_of, engine.parts
-    )
-    for b in np.flatnonzero(ops).tolist():
-        engine.charge(b, float(ops[b]))
-    _send_pull_blocks(engine, pull_root, pull_vertex,
-                      np.diff(findptr).astype(np.int64))
-    engine.end_round()
-    return total
+    return _census_round(engine, partial(clique_expansion_census, k=k))

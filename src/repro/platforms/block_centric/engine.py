@@ -78,24 +78,8 @@ class BlockCentricEngine:
                    count: int) -> None:
         """Meter ``count`` boundary messages totalling ``total_bytes``.
 
-        The bulk twin of :meth:`send` for vectorized passes that
-        aggregate variable-size pulls per block pair before metering.
+        For passes that aggregate variable-size pulls per block pair
+        before metering, where :meth:`send`'s fixed size does not fit.
         """
         self.recorder.add_message_block(src_block, dst_block, total_bytes,
                                         count)
-
-    # -- structure helpers ------------------------------------------------
-
-    def is_cut_edge(self, u: int, v: int) -> bool:
-        """Whether ``(u, v)`` crosses a block boundary."""
-        return self.block_of[u] != self.block_of[v]
-
-    def local_neighbors(self, v: int) -> np.ndarray:
-        """Neighbours of ``v`` inside its own block."""
-        neigh = self.graph.neighbors(v)
-        return neigh[self.block_of[neigh] == self.block_of[v]]
-
-    def remote_neighbors(self, v: int) -> np.ndarray:
-        """Neighbours of ``v`` in other blocks."""
-        neigh = self.graph.neighbors(v)
-        return neigh[self.block_of[neigh] != self.block_of[v]]

@@ -9,22 +9,19 @@ from repro.core.graph import Graph
 from repro.platforms.base import Platform
 from repro.platforms.block_centric.algorithms import (
     bc_blocks,
-    bc_blocks_bulk,
     bfs_blocks,
     lcc_blocks,
     cd_blocks,
     kc_blocks,
-    kc_blocks_bulk,
     lpa_blocks,
     pagerank_blocks,
     sssp_blocks,
     tc_blocks,
-    tc_blocks_bulk,
     wcc_blocks,
 )
 from repro.obs import get_tracer
 from repro.platforms.block_centric.engine import BlockCentricEngine
-from repro.platforms.common import EngineMode, EngineOptions
+from repro.platforms.common import EngineOptions
 from repro.platforms.profile import PlatformProfile
 
 __all__ = ["BlockCentricPlatform"]
@@ -52,19 +49,9 @@ class BlockCentricPlatform(Platform):
         params: dict,
         options: EngineOptions,
     ) -> Any:
-        # TC, BC, and KC have scalar and bulk passes (metering-identical;
-        # the parity suite asserts it); every other algorithm has a
-        # single path and ignores the mode knob.
-        attrs = {}
-        if algorithm in ("tc", "bc", "kc"):
-            attrs["path"] = (
-                "scalar" if options.mode is EngineMode.SCALAR else "bulk"
-            )
-        with get_tracer().span(
-            f"block-centric/{algorithm}", category="engine", **attrs
-        ):
-            return self._dispatch(algorithm, graph, recorder, params,
-                                  options.mode)
+        # One path per algorithm: engine_mode has nothing to select here.
+        with get_tracer().span(f"block-centric/{algorithm}", category="engine"):
+            return self._dispatch(algorithm, graph, recorder, params)
 
     def _dispatch(
         self,
@@ -72,7 +59,6 @@ class BlockCentricPlatform(Platform):
         graph: Graph,
         recorder: TraceRecorder,
         params: dict,
-        mode: EngineMode,
     ) -> Any:
         engine = BlockCentricEngine(graph, recorder)
         if algorithm == "pr":
@@ -88,21 +74,13 @@ class BlockCentricPlatform(Platform):
         if algorithm == "wcc":
             return wcc_blocks(engine)
         if algorithm == "bc":
-            source = params.get("source", 0)
-            if mode is EngineMode.SCALAR:
-                return bc_blocks(engine, source=source)
-            return bc_blocks_bulk(engine, source=source)
+            return bc_blocks(engine, source=params.get("source", 0))
         if algorithm == "cd":
             return cd_blocks(engine)
         if algorithm == "tc":
-            if mode is EngineMode.SCALAR:
-                return tc_blocks(engine)
-            return tc_blocks_bulk(engine)
+            return tc_blocks(engine)
         if algorithm == "kc":
-            k = params.get("k", 4)
-            if mode is EngineMode.SCALAR:
-                return kc_blocks(engine, k=k)
-            return kc_blocks_bulk(engine, k=k)
+            return kc_blocks(engine, k=params.get("k", 4))
         if algorithm == "bfs":
             return bfs_blocks(engine, source=params.get("source", 0))
         if algorithm == "lcc":

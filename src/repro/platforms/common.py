@@ -18,10 +18,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.graph import Graph
 from repro.errors import PlatformError
 from repro.faults.schedule import EMPTY_SCHEDULE, FaultSchedule
-from repro.platforms.kernels import vertex_order_positions
+from repro.platforms.kernels import forward_edge_arrays
 
 __all__ = [
     "EngineMode",
@@ -34,10 +36,13 @@ __all__ = [
 class EngineMode(enum.Enum):
     """Execution-path selector for engines with scalar and bulk paths.
 
-    ``AUTO`` lets the engine pick (currently the vectorized bulk path
-    where one exists); ``BULK`` and ``SCALAR`` force a path, which the
-    parity suites use to assert both meter identically.  Engines with a
-    single path accept the knob and ignore it.
+    Only the vertex-centric (GraphX, Flash, Pregel+, Ligra) and
+    edge-centric (PowerGraph) engines still have both.  ``AUTO`` lets
+    the engine pick (currently the vectorized bulk path where one
+    exists); ``BULK`` and ``SCALAR`` force a path, which the parity
+    suites use to assert both meter identically.  The block- and
+    subgraph-centric engines have one path; they accept the knob and
+    ignore it.
     """
 
     AUTO = "auto"
@@ -117,13 +122,5 @@ def adjacency_shipping_bytes(
     forward list to each forward neighbour: payload is
     ``8 * sum(fdeg^2)``, envelopes one per forward edge.
     """
-    und = graph.to_undirected()
-    position = vertex_order_positions(und)
-    payload = 0.0
-    messages = 0.0
-    for v in range(und.num_vertices):
-        neigh = und.neighbors(v)
-        fdeg = int((position[neigh] > position[v]).sum())
-        payload += 8.0 * fdeg * fdeg
-        messages += fdeg
-    return payload, envelope_bytes * messages
+    fdeg = np.diff(forward_edge_arrays(graph)[0])
+    return 8.0 * float((fdeg * fdeg).sum()), envelope_bytes * float(fdeg.sum())

@@ -18,8 +18,8 @@ from repro.platforms.base import Platform
 from repro.platforms.common import EngineOptions
 from repro.platforms.kernels import (
     cached_kernel,
+    clustering_coefficients,
     forward_adjacency,
-    simple_degrees,
 )
 from repro.platforms.edge_centric.engine import EdgeCentricEngine, EdgePlacement
 from repro.platforms.edge_centric.programs import (
@@ -224,12 +224,7 @@ class EdgeCentricPlatform(Platform):
                 for w in common.tolist():
                     recorder.add_message(p, int(placement.master[w]), 8.0)
         recorder.end_superstep()
-        # Simple-graph wedge counts: self-loop slots contribute none,
-        # and degree-0/1 vertices get coefficient 0.0.
-        degrees = simple_degrees(und)
-        wedges = degrees * (degrees - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(wedges > 0, 2.0 * (credits / 3.0) / wedges, 0.0)
+        return clustering_coefficients(und, credits / 3.0)
 
     def _k_clique_count(
         self,

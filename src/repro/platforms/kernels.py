@@ -4,10 +4,10 @@ Every vectorized ("bulk") execution path — vertex-, edge-, block-, and
 subgraph-centric — is built from the same handful of flat-CSR
 primitives: segment expansion (`np.repeat` gathers instead of
 per-vertex slicing), lexsorted CSR construction, the forward edge
-orientation behind the O(m^1.5) subgraph algorithms, sorted-key edge
-membership, the segmented mode behind every bulk LPA, and chunked
-random draws.  This module is their single home; the per-engine
-packages import from here and add only metering.
+orientation behind the O(m^1.5) subgraph algorithms, the triangle and
+k-clique censuses built on it, the segmented mode behind every bulk
+LPA, and chunked random draws.  This module is their single home; the
+per-engine packages import from here and add only metering.
 
 Design invariants the bulk paths rely on:
 
@@ -15,10 +15,10 @@ Design invariants the bulk paths rely on:
   depend only on inputs, never on dict/set iteration order;
 * integer-valued outputs stay integer-valued (int64 everywhere), so
   metering sums built on them are exact in float64 regardless of
-  aggregation order — the foundation of the scalar/bulk WorkTrace
-  parity guarantee;
+  aggregation order — which is why a bulk pass meters exactly what the
+  per-element loop it replaced metered;
 * within-segment element order is preserved ascending, matching the
-  per-vertex ``np.sort`` of the scalar list-of-arrays form.
+  per-vertex ``np.sort`` of the list-of-arrays form.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ __all__ = [
     "forward_edge_arrays",
     "self_loop_counts",
     "simple_degrees",
+    "clustering_coefficients",
     "closed_wedge_corners",
     "unique_pull_pairs",
     "aggregate_pull_pairs",
+    "triangle_census",
     "clique_expansion_census",
     "ChunkedDrawBuffer",
     "cached_kernel",
@@ -269,10 +271,9 @@ def forward_edge_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     (degree, id) position) as flat ``src``/``dst`` arrays sorted
     lexicographically, plus the CSR ``indptr`` over ``src`` segments.
     ``dst`` within each segment is ascending, matching the per-vertex
-    ``np.sort`` of the list-of-arrays form, so bulk paths built on this
-    view meter identically to scalar loops over ``forward_adjacency``.
-    Memoized per graph via :func:`cached_kernel`; callers must treat the
-    returned arrays as read-only.
+    ``np.sort`` of the list-of-arrays form.  Memoized per graph via
+    :func:`cached_kernel`; callers must treat the returned arrays as
+    read-only.
     """
     return cached_kernel(
         graph, "forward_edge_arrays", lambda: _forward_edge_arrays(graph)
@@ -309,6 +310,19 @@ def simple_degrees(graph: Graph) -> np.ndarray:
     coefficient.
     """
     return (graph.out_degrees() - self_loop_counts(graph)).astype(np.float64)
+
+
+def clustering_coefficients(graph: Graph, triangles: np.ndarray) -> np.ndarray:
+    """(n,) float64 local clustering coefficients from triangle counts.
+
+    ``triangles[v]`` counts the triangles through ``v``; the coefficient
+    is ``2 * triangles / (d * (d - 1))`` over the undirected view's
+    :func:`simple_degrees`, and degree-0/1 vertices (no wedges) get 0.0.
+    """
+    degrees = simple_degrees(graph.to_undirected())
+    wedges = degrees * (degrees - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(wedges > 0, 2.0 * triangles / wedges, 0.0)
 
 
 def closed_wedge_corners(
@@ -351,9 +365,8 @@ def unique_pull_pairs(
     ``root_parts[i]`` requests the forward list of ``targets[i]``; a
     request is remote when the target's owner differs.  Returns the
     unique remote pairs as ``(pull_root, pull_vertex)`` plus the total
-    remote request count — the scalar engines' per-round pull caches
-    meter exactly one message per unique pair, and the difference is
-    their cache-hit tally.
+    remote request count — a per-round pull cache meters exactly one
+    message per unique pair, and the difference is its cache-hit tally.
     """
     root_parts = np.asarray(root_parts, dtype=np.int64)
     remote = owner[targets] != root_parts
@@ -388,6 +401,42 @@ def aggregate_pull_pairs(
     return pair_ids // parts, pair_ids % parts, counts, nbytes
 
 
+def triangle_census(
+    findptr: np.ndarray,
+    fsrc: np.ndarray,
+    fdst: np.ndarray,
+    num_vertices: int,
+    owner: np.ndarray,
+    parts: int,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray,
+           np.ndarray, np.ndarray, int]:
+    """One wave of forward-edge triangle tasks over the forward CSR.
+
+    Every forward edge ``(v, u)`` is a task rooted at ``owner[v]``: it
+    costs ``fdeg(v) + fdeg(u)`` ops there, requests ``u``'s forward
+    list (remote when ``owner[u] != owner[v]``), and closes one
+    triangle per common forward neighbour.
+
+    Returns ``(corners, ops, pull_root, pull_vertex, remote_calls)``:
+    the :func:`closed_wedge_corners` triple ``(v, u, w)`` (one row per
+    triangle), per-part float64 ops, the unique remote pull pairs (see
+    :func:`unique_pull_pairs`), and the total remote request count —
+    the shape :func:`clique_expansion_census` returns.
+    """
+    owner = np.asarray(owner, dtype=np.int64)
+    fdeg = np.diff(findptr)
+    roots = owner[fsrc]
+    ops = np.bincount(
+        roots, weights=(fdeg[fsrc] + fdeg[fdst]).astype(np.float64),
+        minlength=parts,
+    )
+    pull_root, pull_vertex, calls = unique_pull_pairs(
+        roots, fdst, owner, num_vertices
+    )
+    corners = closed_wedge_corners(findptr, fsrc, fdst, num_vertices)
+    return corners, ops, pull_root, pull_vertex, calls
+
+
 def clique_expansion_census(
     findptr: np.ndarray,
     fsrc: np.ndarray,
@@ -399,16 +448,16 @@ def clique_expansion_census(
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, int]:
     """Level-synchronous k-clique expansion over the forward CSR.
 
-    The array-native twin of the scalar per-root DFS the block- and
-    subgraph-centric engines run: every vertex spawns a level-1 task
-    whose candidate set is its forward list; expanding candidate ``u``
-    of a task with candidates ``C`` costs ``|C| + fdeg(u)`` ops at the
-    task's rooting part and narrows ``C`` to ``C ∩ forward(u)``
-    (sorted-key membership over the flat edge list); tasks survive when
-    the narrowed set can still complete a clique, and level ``k - 1``
-    counts its candidates.  The expansion *set* is identical to the
-    DFS's, so per-part totals match exactly — only traversal order
-    differs, which the per-round trace cannot see.
+    The block- and subgraph-centric engines' KC: every vertex spawns a
+    level-1 task whose candidate set is its forward list; expanding
+    candidate ``u`` of a task with candidates ``C`` costs
+    ``|C| + fdeg(u)`` ops at the task's rooting part and narrows ``C``
+    to ``C ∩ forward(u)`` (sorted-key membership over the flat edge
+    list); tasks survive when the narrowed set can still complete a
+    clique, and level ``k - 1`` counts its candidates.  The expansion
+    *set* equals a per-root depth-first search's, so per-part totals do
+    too — only traversal order differs, which the one-round trace
+    cannot see.
 
     Returns ``(total, ops, pull_root, pull_vertex, remote_calls)``:
     the clique count, per-part float64 ops (root spawn charges of

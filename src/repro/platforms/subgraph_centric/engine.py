@@ -9,21 +9,18 @@ why it cannot express iterative/sequential algorithms: there is no
 cross-task iteration-control flow (the paper's 6 unsupported cases on
 G-thinker).
 
-Each algorithm has two execution paths metering bit-identically:
-
-* the **scalar** path loops over per-vertex tasks, pulling and
-  intersecting one adjacency list at a time;
-* the **bulk** path runs the same task wave as array kernels over the
-  flat forward-edge CSR (:mod:`repro.platforms.kernels`), bincounting
-  the per-worker op charges and aggregating the wave's unique remote
-  pulls into one message block per worker pair.
-
-Every charged quantity is integer-valued, so float64 aggregation order
-cannot change the per-phase totals — the parity suite diffs whole
-WorkTraces between the paths.
+Each algorithm is one scheduling wave of tasks, run as a census over
+the flat forward-edge CSR (:mod:`repro.platforms.kernels`): per-worker
+op charges are bincounted, and the wave's unique remote pulls are
+aggregated into one message block per worker pair.  Every charged
+quantity is integer-valued, so float64 aggregation order cannot change
+the per-wave totals.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -35,11 +32,9 @@ from repro.obs import CACHE_HITS, CACHE_MISSES, get_tracer
 from repro.platforms.kernels import (
     aggregate_pull_pairs,
     clique_expansion_census,
-    closed_wedge_corners,
-    forward_adjacency,
+    clustering_coefficients,
     forward_edge_arrays,
-    simple_degrees,
-    unique_pull_pairs,
+    triangle_census,
 )
 
 __all__ = ["SubgraphCentricEngine"]
@@ -49,9 +44,8 @@ class SubgraphCentricEngine:
     """Task-parallel subgraph mining executor.
 
     Tasks are spawned one per vertex and execute on the worker owning
-    that vertex (hash placement).  ``pull_adjacency`` meters remote
-    adjacency fetches with per-worker caching, mirroring G-thinker's
-    vertex cache.
+    that vertex (hash placement).  Remote adjacency fetches are cached
+    per worker for one wave, mirroring G-thinker's vertex cache.
     """
 
     def __init__(self, graph: Graph, recorder: TraceRecorder) -> None:
@@ -59,246 +53,63 @@ class SubgraphCentricEngine:
         self.recorder = recorder
         self.parts = recorder.parts
         self.owner = hash_partition(graph, self.parts).owner
-        self.forward = forward_adjacency(graph)
-        self._cache: set[tuple[int, int]] = set()
-        self._step_ops: np.ndarray | None = None
         self._tracer = get_tracer()
-        self._phase_index = 0
-        self._phase_span = None
-
-    def begin_phase(self) -> None:
-        """Open one scheduling wave of tasks (also an observability
-        span, closed by :meth:`end_phase`).
-
-        The pull cache is scoped to the wave: G-thinker evicts between
-        scheduling waves, and the block-centric engines likewise dedupe
-        pulls per round, so a vertex pulled in two phases is metered in
-        both — the invariant the bulk pull aggregation relies on.
-        """
-        self._cache.clear()
-        self._phase_span = self._tracer.span(
-            "task-wave", category="superstep", index=self._phase_index
-        ).__enter__()
-        self.recorder.begin_superstep()
-        self._step_ops = np.zeros(self.parts)
-
-    def end_phase(self) -> None:
-        """Seal the wave."""
-        for p in range(self.parts):
-            if self._step_ops[p]:
-                self.recorder.add_compute(p, float(self._step_ops[p]))
-        self._step_ops = None
-        self.recorder.end_superstep()
-        self._phase_span.__exit__(None, None, None)
-        self._phase_span = None
-        self._phase_index += 1
-
-    def charge(self, worker: int, ops: float) -> None:
-        """Charge task compute to a worker."""
-        self._step_ops[worker] += ops
-
-    def pull_adjacency(self, worker: int, u: int) -> np.ndarray:
-        """Fetch ``u``'s forward adjacency to ``worker`` (cached).
-
-        Remote pulls count as observability cache hits/misses (local
-        reads count as neither — no fetch happens).
-        """
-        owner_u = int(self.owner[u])
-        if owner_u != worker:
-            if (worker, u) not in self._cache:
-                self._cache.add((worker, u))
-                self.recorder.add_message(
-                    owner_u, worker, 8.0 * self.forward[u].size
-                )
-                if self._tracer.enabled:
-                    self._tracer.add(CACHE_MISSES, 1.0)
-            elif self._tracer.enabled:
-                self._tracer.add(CACHE_HITS, 1.0)
-        return self.forward[u]
-
-    def _meter_pulls_bulk(
-        self,
-        pull_root: np.ndarray,
-        pull_vertex: np.ndarray,
-        remote_calls: int,
-        fdeg: np.ndarray,
-    ) -> None:
-        """Bulk twin of per-call :meth:`pull_adjacency` metering.
-
-        ``(pull_root, pull_vertex)`` are the wave's unique remote pull
-        pairs; each becomes one shipped adjacency, aggregated into one
-        message block per (owner worker -> pulling worker) pair.  The
-        observability counters replicate the scalar cache: one miss per
-        unique pair, one hit per deduplicated repeat request.
-        """
-        if remote_calls == 0:
-            return
-        src, dst, counts, nbytes = aggregate_pull_pairs(
-            pull_root, pull_vertex, self.owner, fdeg, self.parts
-        )
-        for s, d, c, b in zip(
-            src.tolist(), dst.tolist(), counts.tolist(), nbytes.tolist()
-        ):
-            self.recorder.add_message_block(int(s), int(d), float(b), int(c))
-        if self._tracer.enabled:
-            self._tracer.add(CACHE_MISSES, float(pull_root.shape[0]))
-            hits = remote_calls - int(pull_root.shape[0])
-            if hits:
-                self._tracer.add(CACHE_HITS, float(hits))
-
-    def _charge_bulk(self, ops: np.ndarray) -> None:
-        """Fold per-worker op totals into the open wave."""
-        for p in np.flatnonzero(ops).tolist():
-            self.charge(int(p), float(ops[p]))
-
-    # ------------------------------------------------------------------
-    # Scalar task loops
+        self._wave_index = 0
 
     def count_triangles(self) -> int:
-        """TC as per-vertex tasks intersecting forward adjacency."""
-        total = 0
-        self.begin_phase()
-        for v in range(self.graph.num_vertices):
-            worker = int(self.owner[v])
-            fv = self.forward[v]
-            for u in fv.tolist():
-                fu = self.pull_adjacency(worker, u)
-                self.charge(worker, float(fv.size + fu.size))
-                total += int(np.intersect1d(fv, fu, assume_unique=True).size)
-        self.end_phase()
-        return total
+        """TC as per-forward-edge tasks intersecting forward adjacency."""
+        v, _, _ = self._wave(triangle_census)
+        return int(v.size)
 
-    def local_clustering(self) -> "np.ndarray":
-        """LCC as per-vertex triangle tasks with corner crediting
-        (the LDBC comparison suite's only subgraph-expressible task)."""
+    def local_clustering(self) -> np.ndarray:
+        """LCC as the TC wave with corner crediting (the LDBC comparison
+        suite's only subgraph-expressible task)."""
         n = self.graph.num_vertices
-        triangles = np.zeros(n, dtype=np.int64)
-        self.begin_phase()
-        for v in range(n):
-            worker = int(self.owner[v])
-            fv = self.forward[v]
-            for u in fv.tolist():
-                fu = self.pull_adjacency(worker, u)
-                self.charge(worker, float(fv.size + fu.size))
-                common = np.intersect1d(fv, fu, assume_unique=True)
-                if common.size:
-                    triangles[v] += common.size
-                    triangles[u] += common.size
-                    triangles[common] += 1
-        self.end_phase()
-        return self._clustering_from_triangles(triangles)
-
-    def _clustering_from_triangles(self, triangles: np.ndarray) -> np.ndarray:
-        """Normalize triangle counts by simple-graph wedge counts.
-
-        Degree-0/1 vertices have no wedges and get coefficient 0.0, and
-        self-loop slots are excluded from the degree so a looped vertex
-        is not under-credited.
-        """
-        degrees = simple_degrees(self.graph.to_undirected())
-        wedges = degrees * (degrees - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(wedges > 0, 2.0 * triangles / wedges, 0.0)
+        v, u, w = self._wave(triangle_census)
+        triangles = (np.bincount(v, minlength=n) + np.bincount(u, minlength=n)
+                     + np.bincount(w, minlength=n))
+        return clustering_coefficients(self.graph, triangles)
 
     def count_k_cliques(self, k: int) -> int:
         """KC as per-vertex expansion tasks (G-thinker's headline use)."""
         if k < 3:
             raise GraphStructureError(f"k must be >= 3 for KC, got {k}")
-        total = 0
-        self.begin_phase()
-        for v in range(self.graph.num_vertices):
-            worker = int(self.owner[v])
-            stack = [(1, self.forward[v])]
-            self.charge(worker, max(1.0, float(self.forward[v].size)))
-            while stack:
-                size, candidates = stack.pop()
-                if size == k - 1:
-                    total += int(candidates.size)
-                    continue
-                for u in candidates.tolist():
-                    fu = self.pull_adjacency(worker, u)
-                    self.charge(worker, float(candidates.size + fu.size))
-                    narrowed = np.intersect1d(candidates, fu, assume_unique=True)
-                    if narrowed.size >= k - size - 2:
-                        stack.append((size + 1, narrowed))
-        self.end_phase()
-        return total
+        return self._wave(partial(clique_expansion_census, k=k))
 
-    # ------------------------------------------------------------------
-    # Bulk task waves (array kernels over the flat forward CSR)
+    def _wave(self, census: Callable[..., tuple]) -> Any:
+        """Run one census as a scheduling wave of tasks and meter it.
 
-    def count_triangles_bulk(self) -> int:
-        """Vectorized twin of :meth:`count_triangles`.
-
-        One wave: per-edge op charges bincounted by rooting worker,
-        remote pulls deduplicated per (worker, vertex) pair, triangles
-        counted as closed forward wedges.
+        The wave is one superstep and one ``task-wave`` span.  Each
+        unique (worker, remote vertex) pull ships one forward list and
+        counts as a cache miss; every repeated request for it is a cache
+        hit.  The pull cache lives for one wave only — G-thinker evicts
+        between scheduling waves — so a second wave meters its pulls
+        again.  Returns the census's first element.
         """
-        n = self.graph.num_vertices
-        findptr, fsrc, fdst = forward_edge_arrays(self.graph)
-        fdeg = np.diff(findptr).astype(np.int64)
-        total = 0
-        self.begin_phase()
-        if fsrc.size:
-            workers = self.owner[fsrc]
-            ops = np.bincount(
-                workers,
-                weights=(fdeg[fsrc] + fdeg[fdst]).astype(np.float64),
-                minlength=self.parts,
+        graph = self.graph
+        findptr, fsrc, fdst = forward_edge_arrays(graph)
+        with self._tracer.span(
+            "task-wave", category="superstep", index=self._wave_index
+        ):
+            self.recorder.begin_superstep()
+            result, ops, pull_root, pull_vertex, calls = census(
+                findptr, fsrc, fdst, graph.num_vertices,
+                owner=self.owner, parts=self.parts,
             )
-            self._charge_bulk(ops)
-            pull_root, pull_vertex, calls = unique_pull_pairs(
-                workers, fdst, self.owner, n
+            src, dst, counts, nbytes = aggregate_pull_pairs(
+                pull_root, pull_vertex, self.owner, np.diff(findptr),
+                self.parts,
             )
-            self._meter_pulls_bulk(pull_root, pull_vertex, calls, fdeg)
-            v, _, _ = closed_wedge_corners(findptr, fsrc, fdst, n)
-            total = int(v.size)
-        self.end_phase()
-        return total
-
-    def local_clustering_bulk(self) -> np.ndarray:
-        """Vectorized twin of :meth:`local_clustering`: the TC wave
-        plus corner crediting via three bincounts."""
-        n = self.graph.num_vertices
-        findptr, fsrc, fdst = forward_edge_arrays(self.graph)
-        fdeg = np.diff(findptr).astype(np.int64)
-        triangles = np.zeros(n, dtype=np.int64)
-        self.begin_phase()
-        if fsrc.size:
-            workers = self.owner[fsrc]
-            ops = np.bincount(
-                workers,
-                weights=(fdeg[fsrc] + fdeg[fdst]).astype(np.float64),
-                minlength=self.parts,
-            )
-            self._charge_bulk(ops)
-            pull_root, pull_vertex, calls = unique_pull_pairs(
-                workers, fdst, self.owner, n
-            )
-            self._meter_pulls_bulk(pull_root, pull_vertex, calls, fdeg)
-            v, u, w = closed_wedge_corners(findptr, fsrc, fdst, n)
-            triangles = (
-                np.bincount(v, minlength=n)
-                + np.bincount(u, minlength=n)
-                + np.bincount(w, minlength=n)
-            ).astype(np.int64)
-        self.end_phase()
-        return self._clustering_from_triangles(triangles)
-
-    def count_k_cliques_bulk(self, k: int) -> int:
-        """Vectorized twin of :meth:`count_k_cliques`: one
-        level-synchronous expansion census over the forward CSR."""
-        if k < 3:
-            raise GraphStructureError(f"k must be >= 3 for KC, got {k}")
-        n = self.graph.num_vertices
-        findptr, fsrc, fdst = forward_edge_arrays(self.graph)
-        self.begin_phase()
-        total, ops, pull_root, pull_vertex, calls = clique_expansion_census(
-            findptr, fsrc, fdst, n, k, self.owner, self.parts
-        )
-        self._charge_bulk(ops)
-        self._meter_pulls_bulk(
-            pull_root, pull_vertex, calls, np.diff(findptr).astype(np.int64)
-        )
-        self.end_phase()
-        return total
+            for s, d, c, nb in zip(src.tolist(), dst.tolist(),
+                                   counts.tolist(), nbytes.tolist()):
+                self.recorder.add_message_block(s, d, nb, c)
+            if self._tracer.enabled and calls:
+                misses = int(pull_root.shape[0])
+                self._tracer.add(CACHE_MISSES, float(misses))
+                if calls > misses:
+                    self._tracer.add(CACHE_HITS, float(calls - misses))
+            for p in np.flatnonzero(ops).tolist():
+                self.recorder.add_compute(p, float(ops[p]))
+            self.recorder.end_superstep()
+        self._wave_index += 1
+        return result

@@ -13,7 +13,7 @@ from repro.cluster.cost import TraceRecorder
 from repro.core.graph import Graph
 from repro.obs import get_tracer
 from repro.platforms.base import Platform
-from repro.platforms.common import EngineMode, EngineOptions
+from repro.platforms.common import EngineOptions
 from repro.platforms.profile import PlatformProfile
 from repro.platforms.subgraph_centric.engine import SubgraphCentricEngine
 
@@ -42,32 +42,13 @@ class SubgraphCentricPlatform(Platform):
         params: dict,
         options: EngineOptions,
     ) -> Any:
-        # AUTO takes the vectorized wave; the parity suite forces both
-        # paths and diffs the WorkTraces bit-for-bit.
-        bulk = options.mode is not EngineMode.SCALAR
-        with get_tracer().span(
-            f"subgraph-centric/{algorithm}",
-            category="engine",
-            path="bulk" if bulk else "scalar",
-        ):
+        # One wave per algorithm: engine_mode has nothing to select here.
+        with get_tracer().span(f"subgraph-centric/{algorithm}", category="engine"):
             engine = SubgraphCentricEngine(graph, recorder)
             if algorithm == "tc":
-                return (
-                    engine.count_triangles_bulk()
-                    if bulk
-                    else engine.count_triangles()
-                )
+                return engine.count_triangles()
             if algorithm == "kc":
-                k = params.get("k", 4)
-                return (
-                    engine.count_k_cliques_bulk(k)
-                    if bulk
-                    else engine.count_k_cliques(k)
-                )
+                return engine.count_k_cliques(params.get("k", 4))
             if algorithm == "lcc":
-                return (
-                    engine.local_clustering_bulk()
-                    if bulk
-                    else engine.local_clustering()
-                )
+                return engine.local_clustering()
         raise AssertionError(f"unhandled algorithm {algorithm!r}")

@@ -1,20 +1,27 @@
-"""Scalar-vs-bulk parity of the block-centric BC and KC ports.
+"""Grape BC and KC against their per-vertex specifications.
 
-:func:`bc_blocks_bulk` vectorizes the Brandes phases' metering while
-keeping the accumulation arithmetic literally identical to the scalar
-pass (same ``np.add.at`` calls on the same DAG ordering), so both the
-centrality values and the WorkTraces must match bit for bit.
-:func:`kc_blocks_bulk` replaces the per-root DFS with the shared
-level-synchronous expansion census.
+:func:`~repro.platforms.block_centric.algorithms.bc_blocks` meters the
+Brandes levels in bulk; :func:`task_loops.brandes_blocks_loop` charges
+block by block and sends one message per cut DAG edge, with the same
+``np.add.at`` accumulation, so values and WorkTraces must match bit for
+bit.  :func:`~repro.platforms.block_centric.algorithms.kc_blocks` runs
+the level-synchronous expansion census; :func:`task_loops.clique_loop`
+is the per-root depth-first search it replaces.
 """
 
 import numpy as np
 import pytest
 
-from repro import obs
+from repro.cluster import NUM_PARTS, TraceRecorder, single_machine
 from repro.core import Graph, path_graph, random_graph, star_graph
-from repro.cluster import single_machine
 from repro.platforms import get_platform
+from repro.platforms.block_centric.engine import BlockCentricEngine
+from task_loops import (
+    assert_one_wave,
+    assert_traces_identical,
+    brandes_blocks_loop,
+    clique_loop,
+)
 
 
 def _clustered_graph() -> Graph:
@@ -42,77 +49,49 @@ GRAPHS = [RANDOM, CLUSTERED, PATH, STAR, EMPTY]
 GRAPH_IDS = ["random", "clustered", "path", "star", "empty"]
 
 
-def _assert_traces_identical(a, b):
-    assert a.supersteps == b.supersteps
-    for step_a, step_b in zip(a.steps, b.steps):
-        assert np.array_equal(step_a.ops, step_b.ops)
-        assert np.array_equal(step_a.msg_count, step_b.msg_count)
-        assert np.array_equal(step_a.msg_bytes, step_b.msg_bytes)
+def _assert_bc_matches_loop(graph, source=0):
+    recorder = TraceRecorder(NUM_PARTS)
+    expected = brandes_blocks_loop(BlockCentricEngine(graph, recorder), source)
+    run = get_platform("Grape").run("bc", graph, single_machine(),
+                                    source=source)
+    assert np.array_equal(np.asarray(run.values), expected)
+    assert_traces_identical(run.trace, recorder.trace)
 
 
-def _run_both(algorithm, graph, **params):
+def _assert_same_as_forced_modes(algorithm, graph, **params):
+    """Grape has one path; ``engine_mode`` is accepted and changes
+    nothing."""
     platform = get_platform("Grape")
-    cluster = single_machine()
-    scalar = platform.run(
-        algorithm, graph, cluster, engine_mode="scalar", **params
-    )
-    bulk = platform.run(algorithm, graph, cluster, engine_mode="bulk", **params)
-    return scalar, bulk
+    auto = platform.run(algorithm, graph, single_machine(), **params)
+    for mode in ("bulk", "scalar"):
+        forced = platform.run(algorithm, graph, single_machine(),
+                              engine_mode=mode, **params)
+        assert np.array_equal(np.asarray(forced.values),
+                              np.asarray(auto.values))
+        assert_traces_identical(forced.trace, auto.trace)
 
 
 class TestBlockBCParity:
     @pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
     def test_trace_and_values_identical(self, graph):
-        scalar, bulk = _run_both("bc", graph)
-        assert np.array_equal(
-            np.asarray(scalar.values), np.asarray(bulk.values)
-        )
-        _assert_traces_identical(scalar.trace, bulk.trace)
+        _assert_bc_matches_loop(graph)
 
     def test_nonzero_source(self):
-        scalar, bulk = _run_both("bc", RANDOM, source=17)
-        assert np.array_equal(
-            np.asarray(scalar.values), np.asarray(bulk.values)
-        )
-        _assert_traces_identical(scalar.trace, bulk.trace)
+        _assert_bc_matches_loop(RANDOM, source=17)
 
     def test_auto_mode_takes_bulk(self):
-        platform = get_platform("Grape")
-        auto = platform.run("bc", RANDOM, single_machine())
-        scalar, bulk = _run_both("bc", RANDOM)
-        assert np.array_equal(np.asarray(auto.values),
-                              np.asarray(scalar.values))
-        _assert_traces_identical(auto.trace, bulk.trace)
-
-    def test_engine_span_carries_path(self):
-        platform = get_platform("Grape")
-        for mode in ("bulk", "scalar"):
-            with obs.tracing() as tracer:
-                platform.run("bc", RANDOM, single_machine(), engine_mode=mode)
-            (span,) = [s for s in tracer.spans if s.category == "engine"]
-            assert span.attrs.get("path") == mode
+        _assert_same_as_forced_modes("bc", RANDOM)
 
 
 class TestBlockKCParity:
     @pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_trace_and_count_identical(self, graph, k):
-        scalar, bulk = _run_both("kc", graph, k=k)
-        assert scalar.values == bulk.values
-        _assert_traces_identical(scalar.trace, bulk.trace)
+        run = get_platform("Grape").run("kc", graph, single_machine(), k=k)
+        owner = BlockCentricEngine(graph, TraceRecorder(NUM_PARTS)).block_of
+        total, ops, pulls, _ = clique_loop(graph, owner, NUM_PARTS, k)
+        assert run.values == total
+        assert_one_wave(run.trace, graph, owner, ops, pulls)
 
     def test_auto_mode_takes_bulk(self):
-        platform = get_platform("Grape")
-        auto = platform.run("kc", CLUSTERED, single_machine())
-        scalar, bulk = _run_both("kc", CLUSTERED)
-        assert auto.values == scalar.values == bulk.values
-        _assert_traces_identical(auto.trace, bulk.trace)
-
-    def test_engine_span_carries_path(self):
-        platform = get_platform("Grape")
-        for mode in ("bulk", "scalar"):
-            with obs.tracing() as tracer:
-                platform.run("kc", CLUSTERED, single_machine(),
-                             engine_mode=mode)
-            (span,) = [s for s in tracer.spans if s.category == "engine"]
-            assert span.attrs.get("path") == mode
+        _assert_same_as_forced_modes("kc", CLUSTERED)

@@ -1,21 +1,23 @@
-"""Scalar-vs-bulk parity of the block-centric TC hot loop.
+"""Grape TC against its per-vertex specification.
 
-The vectorized pass (:func:`tc_blocks_bulk`) promises *bit-identical*
-metering to the scalar pass — the same per-round ops, message counts,
-and message bytes, and the exact triangle total — because every charged
-quantity is integer-valued, so aggregation order cannot change float64
-sums.  These tests diff whole Grape runs between the two paths and pin
-the forward-edge flat view against the list-of-arrays form it mirrors.
+Grape counts triangles with one array census
+(:func:`~repro.platforms.kernels.triangle_census`).  These tests diff
+whole Grape runs against :func:`task_loops.triangle_loop`, which roots
+one task per forward edge at the edge's block: the same triangle
+total, the same per-block ops, and one message per (block, remote
+vertex) pull carrying that vertex's forward list.  They also pin the
+forward-edge flat view against the list-of-arrays form it mirrors.
 """
 
 import numpy as np
 import pytest
 
-from repro import obs
+from repro.cluster import NUM_PARTS, TraceRecorder, single_machine
 from repro.core import Graph, path_graph, random_graph, star_graph
 from repro.platforms import get_platform
-from repro.cluster import single_machine
+from repro.platforms.block_centric.engine import BlockCentricEngine
 from repro.platforms.kernels import forward_adjacency, forward_edge_arrays
+from task_loops import assert_one_wave, assert_traces_identical, triangle_loop
 
 
 def _clustered_graph() -> Graph:
@@ -43,24 +45,17 @@ TRIANGLE_FREE = path_graph(40)
 STAR = star_graph(9)
 
 
-def _assert_traces_identical(a, b):
-    assert a.supersteps == b.supersteps
-    for step_a, step_b in zip(a.steps, b.steps):
-        assert np.array_equal(step_a.ops, step_b.ops)
-        assert np.array_equal(step_a.msg_count, step_b.msg_count)
-        assert np.array_equal(step_a.msg_bytes, step_b.msg_bytes)
-
-
-def _run_both(graph):
-    platform = get_platform("Grape")
-    cluster = single_machine()
-    scalar = platform.run("tc", graph, cluster, engine_mode="scalar")
-    bulk = platform.run("tc", graph, cluster, engine_mode="bulk")
-    return scalar, bulk
+def _assert_matches_loop(graph):
+    run = get_platform("Grape").run("tc", graph, single_machine())
+    owner = BlockCentricEngine(graph, TraceRecorder(NUM_PARTS)).block_of
+    corners, ops, pulls, _ = triangle_loop(graph, owner, NUM_PARTS)
+    assert run.values == len(corners)
+    assert_one_wave(run.trace, graph, owner, ops, pulls)
+    return run
 
 
 class TestBlockTCParity:
-    """Whole-platform Grape TC runs diffed between the two paths."""
+    """Whole-platform Grape TC runs diffed against the task loop."""
 
     @pytest.mark.parametrize(
         "graph",
@@ -68,33 +63,23 @@ class TestBlockTCParity:
         ids=["random", "clustered", "triangle-free", "star"],
     )
     def test_trace_and_count_identical(self, graph):
-        scalar, bulk = _run_both(graph)
-        assert scalar.values == bulk.values
-        _assert_traces_identical(scalar.trace, bulk.trace)
+        _assert_matches_loop(graph)
 
     def test_auto_mode_matches_bulk_and_scalar(self):
+        """Grape has one TC path; ``engine_mode`` is accepted and
+        changes nothing."""
         platform = get_platform("Grape")
         auto = platform.run("tc", RANDOM, single_machine())
-        scalar, bulk = _run_both(RANDOM)
-        assert auto.values == scalar.values == bulk.values
-        _assert_traces_identical(auto.trace, bulk.trace)
+        for mode in ("bulk", "scalar"):
+            forced = platform.run("tc", RANDOM, single_machine(),
+                                  engine_mode=mode)
+            assert forced.values == auto.values
+            assert_traces_identical(forced.trace, auto.trace)
 
     def test_empty_graph(self):
         empty = Graph.from_edges([], [], num_vertices=8, directed=False)
-        scalar, bulk = _run_both(empty)
-        assert scalar.values == bulk.values == 0
-        _assert_traces_identical(scalar.trace, bulk.trace)
-
-    def test_engine_span_carries_path(self):
-        platform = get_platform("Grape")
-        with obs.tracing() as tracer:
-            platform.run("tc", RANDOM, single_machine(), engine_mode="bulk")
-        (engine_span,) = [s for s in tracer.spans if s.category == "engine"]
-        assert engine_span.attrs.get("path") == "bulk"
-        with obs.tracing() as tracer:
-            platform.run("tc", RANDOM, single_machine(), engine_mode="scalar")
-        (engine_span,) = [s for s in tracer.spans if s.category == "engine"]
-        assert engine_span.attrs.get("path") == "scalar"
+        run = _assert_matches_loop(empty)
+        assert run.values == 0
 
 
 class TestForwardEdgeArrays:

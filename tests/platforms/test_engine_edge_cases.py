@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster import NUM_PARTS, TraceRecorder, single_machine
 from repro.core import Graph, path_graph, random_graph
 from repro.platforms import get_platform, get_profile
+from repro.platforms.block_centric.algorithms import _cut_matrix
 from repro.platforms.block_centric.engine import BlockCentricEngine
 from repro.platforms.edge_centric.engine import EdgeCentricEngine, EdgePlacement
 from repro.platforms.edge_centric.programs import SSSPGAS
@@ -13,23 +15,16 @@ from repro.platforms.subgraph_centric.engine import SubgraphCentricEngine
 
 
 class TestBlockEngine:
-    def test_local_vs_remote_neighbors_partition_adjacency(self):
-        g = path_graph(64)
-        engine = BlockCentricEngine(g, TraceRecorder(NUM_PARTS))
-        for v in (0, 10, 32, 63):
-            local = set(engine.local_neighbors(v).tolist())
-            remote = set(engine.remote_neighbors(v).tolist())
-            assert local | remote == set(g.neighbors(v).tolist())
-            assert not (local & remote)
-
     def test_cut_edges_on_block_boundaries_only(self):
         g = path_graph(64)
         engine = BlockCentricEngine(g, TraceRecorder(NUM_PARTS))
-        cut = [
-            (u, v) for u, v in g.edges() if engine.is_cut_edge(u, v)
-        ]
-        # a 64-vertex path over 16 blocks: exactly 15 boundary edges
-        assert len(cut) == 15
+        cut = _cut_matrix(engine)
+        # a 64-vertex path over 16 blocks: exactly 15 boundary edges,
+        # each cut once per direction between neighbouring blocks
+        assert cut.sum() == 30
+        blocks = np.arange(NUM_PARTS - 1)
+        assert (cut[blocks, blocks + 1] == 1).all()
+        assert (cut[blocks + 1, blocks] == 1).all()
 
     def test_cd_cascade_crosses_blocks(self):
         """A path's peeling cascade unravels across every block; the
@@ -80,24 +75,18 @@ class TestSubgraphEngine:
     def test_adjacency_pulled_once_per_worker(self):
         g = random_graph(100, 400, seed=2)
         recorder = TraceRecorder(NUM_PARTS)
-        engine = SubgraphCentricEngine(g, recorder)
-        engine.begin_phase()
-        worker = 0
-        target = int(np.argmax(engine.owner != worker))
-        before = recorder.trace  # messages recorded at end_superstep
-        engine.pull_adjacency(worker, target)
-        engine.pull_adjacency(worker, target)  # cached: no second message
-        engine.end_phase()
-        assert recorder.trace.total_messages == 1
+        with obs.tracing() as tracer:
+            SubgraphCentricEngine(g, recorder).count_triangles()
+        misses = tracer.counters.get(obs.CACHE_MISSES)
+        assert recorder.trace.total_messages == misses
+        assert tracer.counters.get(obs.CACHE_HITS) > 0  # repeats are free
 
     def test_local_pull_is_free(self):
         g = random_graph(50, 150, seed=3)
-        recorder = TraceRecorder(NUM_PARTS)
+        recorder = TraceRecorder(1)  # one worker owns every vertex
         engine = SubgraphCentricEngine(g, recorder)
-        engine.begin_phase()
-        worker = int(engine.owner[0])
-        engine.pull_adjacency(worker, 0)
-        engine.end_phase()
+        assert engine.count_triangles() > 0
+        assert recorder.trace.total_ops > 0
         assert recorder.trace.total_messages == 0
 
     def test_kc_rejects_small_k(self):

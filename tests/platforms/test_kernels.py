@@ -13,10 +13,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Graph, path_graph, random_graph, star_graph
+from repro.core import (
+    Graph,
+    complete_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 from repro.platforms.kernels import (
     ChunkedDrawBuffer,
     closed_wedge_corners,
+    clustering_coefficients,
     expand_segments,
     forward_adjacency,
     forward_edge_arrays,
@@ -24,9 +31,11 @@ from repro.platforms.kernels import (
     segmented_mode,
     self_loop_counts,
     simple_degrees,
+    triangle_census,
     unique_pull_pairs,
     vertex_order_positions,
 )
+from task_loops import triangle_loop
 
 RANDOM = random_graph(120, 500, seed=7)
 
@@ -262,6 +271,71 @@ class TestLoopAccounting:
         degrees = simple_degrees(g)
         assert degrees.dtype == np.float64
         assert np.array_equal(degrees, [1.0, 1.0, 0.0])
+
+
+class TestClusteringCoefficients:
+    def test_complete_graph_is_fully_clustered(self):
+        g = complete_graph(5)
+        assert np.array_equal(
+            clustering_coefficients(g, np.full(5, 6)), np.ones(5)
+        )
+
+    def test_loops_and_low_degree(self):
+        """Vertex 0 has a self-loop and simple degree 2; vertices 3 and
+        4 have no wedge."""
+        g = Graph.from_edges(
+            [0, 0, 1, 0, 3], [0, 1, 2, 2, 4], num_vertices=5,
+            directed=False, drop_self_loops=False,
+        )
+        out = clustering_coefficients(g, np.array([1, 1, 1, 0, 0]))
+        assert out.dtype == np.float64
+        assert out.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+
+
+@st.composite
+def census_inputs(draw):
+    """Small undirected graphs with self-loops and isolated vertices,
+    plus a random vertex placement over 1-4 parts."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40
+    ))
+    parts = draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(0, parts - 1), min_size=n, max_size=n))
+    src = [a for a, _ in pairs]
+    dst = [b for _, b in pairs]
+    graph = Graph.from_edges(src, dst, num_vertices=n, directed=False,
+                             drop_self_loops=False)
+    return graph, np.array(owner, dtype=np.int64), parts
+
+
+class TestTriangleCensus:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(census_inputs())
+    def test_matches_per_edge_task_loop(self, case):
+        graph, owner, parts = case
+        n = graph.num_vertices
+        (v, u, w), ops, pull_root, pull_vertex, calls = triangle_census(
+            *forward_edge_arrays(graph), n, owner, parts
+        )
+        corners, loop_ops, pulls, loop_calls = triangle_loop(
+            graph, owner, parts
+        )
+        assert sorted(zip(v.tolist(), u.tolist(), w.tolist())) == corners
+        assert np.array_equal(ops, loop_ops)
+        assert set(zip(pull_root.tolist(), pull_vertex.tolist())) == pulls
+        assert len(pull_root) == len(pulls)
+        assert calls == loop_calls
+
+    def test_empty_graph(self):
+        g = Graph.from_edges([], [], num_vertices=3, directed=False)
+        corners, ops, pull_root, pull_vertex, calls = triangle_census(
+            *forward_edge_arrays(g), 3, np.array([0, 1, 1]), 2
+        )
+        assert all(c.size == 0 and c.dtype == np.int64 for c in corners)
+        assert ops.tolist() == [0.0, 0.0]
+        assert pull_root.size == pull_vertex.size == calls == 0
 
 
 class TestUniquePullPairs:

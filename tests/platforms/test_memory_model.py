@@ -4,9 +4,11 @@ exclusion patterns."""
 import pytest
 
 from repro.cluster import ClusterSpec, single_machine
-from repro.datagen import build_dataset
+from repro.core import Graph, random_graph, star_graph
+from repro.datagen import build_dataset, generate_fft
 from repro.errors import OutOfMemoryError
 from repro.platforms import get_platform
+from repro.platforms.common import adjacency_shipping_bytes
 
 
 def test_subgraph_working_set_exceeds_graph_bytes():
@@ -16,6 +18,21 @@ def test_subgraph_working_set_exceeds_graph_bytes():
     assert gx._working_set_extra_bytes("kc", g) > \
         gx._working_set_extra_bytes("tc", g)
     assert gx._working_set_extra_bytes("pr", g) == 0.0
+
+
+@pytest.mark.parametrize("graph,expected", [
+    (random_graph(200, 900, seed=13), (37704.0, 14192.0)),
+    (random_graph(300, 1500, seed=5, directed=True), (67768.0, 23536.0)),
+    (star_graph(9), (64.0, 128.0)),
+    (Graph.from_edges([], [], num_vertices=8, directed=False), (0.0, 0.0)),
+    (Graph.from_edges([0, 1, 0, 0, 2, 3], [1, 2, 2, 0, 2, 4], num_vertices=7,
+                      directed=False, drop_self_loops=False), (48.0, 64.0)),
+    (generate_fft(3000, seed=3).graph, (16752192.0, 1164800.0)),
+], ids=["random", "directed", "star", "empty", "self-loops", "fft"])
+def test_adjacency_shipping_bytes_pinned(graph, expected):
+    """``(8 * sum(fdeg^2), 16 * sum(fdeg))`` over the forward orientation,
+    recorded from the per-vertex loop it replaced."""
+    assert adjacency_shipping_bytes(graph, envelope_bytes=16.0) == expected
 
 
 def test_streaming_models_need_no_extra():

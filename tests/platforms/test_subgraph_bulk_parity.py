@@ -1,12 +1,12 @@
-"""Scalar-vs-bulk parity of the subgraph-centric (G-thinker) engine.
+"""G-thinker TC, KC and LCC against their per-task specifications.
 
-Each algorithm (TC, KC, LCC) runs as two twin paths — the scalar
-per-task loop and the vectorized wave over the flat forward CSR — that
-promise *bit-identical* WorkTraces: same per-phase ops, message counts,
-and message bytes, and equal results.  These tests diff whole G-thinker
-runs between the paths and pin the edge-case semantics the scalar path
-defines: degree-0/1 vertices get LCC 0.0 (never NaN), and self-loops
-close no triangle or clique.
+Each algorithm runs as one wave of tasks computed by an array census
+over the flat forward CSR.  These tests diff whole G-thinker runs
+against :mod:`task_loops` — one task per forward edge (TC, LCC) or per
+root (KC), rooted at the vertex's hash-placed worker — comparing
+results, per-worker ops, pull messages and the pull cache's hit/miss
+counters.  They also pin the edge-case semantics: degree-0/1 vertices
+get LCC 0.0 (never NaN), and self-loops close no triangle or clique.
 """
 
 import numpy as np
@@ -18,7 +18,17 @@ from repro.cluster import single_machine
 from repro.cluster.cost import NUM_PARTS, TraceRecorder
 from repro.errors import GraphStructureError
 from repro.platforms import get_platform
+from repro.platforms.block_centric.algorithms import kc_blocks
+from repro.platforms.block_centric.engine import BlockCentricEngine
+from repro.platforms.kernels import clustering_coefficients
 from repro.platforms.subgraph_centric.engine import SubgraphCentricEngine
+from task_loops import (
+    assert_one_wave,
+    assert_traces_identical,
+    clique_loop,
+    corner_credits,
+    triangle_loop,
+)
 
 
 def _clustered_graph() -> Graph:
@@ -48,7 +58,7 @@ GRAPH_IDS = ["random", "clustered", "triangle-free", "star", "empty"]
 
 def _loopy_graph() -> Graph:
     """A triangle with self-loops kept, plus isolated and degree-1
-    vertices — the edge cases the scalar semantics define."""
+    vertices."""
     src = [0, 1, 0, 0, 2, 3]
     dst = [1, 2, 2, 0, 2, 4]
     return Graph.from_edges(
@@ -56,96 +66,81 @@ def _loopy_graph() -> Graph:
     )
 
 
-def _assert_traces_identical(a, b):
-    assert a.supersteps == b.supersteps
-    for step_a, step_b in zip(a.steps, b.steps):
-        assert np.array_equal(step_a.ops, step_b.ops)
-        assert np.array_equal(step_a.msg_count, step_b.msg_count)
-        assert np.array_equal(step_a.msg_bytes, step_b.msg_bytes)
+def _owner(graph):
+    return SubgraphCentricEngine(graph, TraceRecorder(NUM_PARTS)).owner
 
 
-def _run_both(algorithm, graph, **params):
-    platform = get_platform("G-thinker")
-    cluster = single_machine()
-    scalar = platform.run(
-        algorithm, graph, cluster, engine_mode="scalar", **params
-    )
-    bulk = platform.run(algorithm, graph, cluster, engine_mode="bulk", **params)
-    return scalar, bulk
+def _assert_matches_loop(algorithm, graph, **params):
+    """Diff one G-thinker run against its task loop."""
+    owner = _owner(graph)
+    if algorithm == "kc":
+        expected, ops, pulls, _ = clique_loop(graph, owner, NUM_PARTS,
+                                              params["k"])
+    else:
+        corners, ops, pulls, _ = triangle_loop(graph, owner, NUM_PARTS)
+        expected = len(corners)
+        if algorithm == "lcc":
+            expected = clustering_coefficients(
+                graph, corner_credits(corners, graph.num_vertices)
+            )
+    run = get_platform("G-thinker").run(algorithm, graph, single_machine(),
+                                        **params)
+    assert np.array_equal(np.asarray(run.values), np.asarray(expected))
+    assert_one_wave(run.trace, graph, owner, ops, pulls)
 
 
 class TestSubgraphParity:
-    """Whole-platform G-thinker runs diffed between the two paths."""
+    """Whole-platform G-thinker runs diffed against the task loops."""
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
     def test_tc(self, graph):
-        scalar, bulk = _run_both("tc", graph)
-        assert scalar.values == bulk.values
-        _assert_traces_identical(scalar.trace, bulk.trace)
+        _assert_matches_loop("tc", graph)
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_kc(self, graph, k):
-        scalar, bulk = _run_both("kc", graph, k=k)
-        assert scalar.values == bulk.values
-        _assert_traces_identical(scalar.trace, bulk.trace)
+        _assert_matches_loop("kc", graph, k=k)
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
     def test_lcc(self, graph):
-        scalar, bulk = _run_both("lcc", graph)
-        assert np.array_equal(
-            np.asarray(scalar.values), np.asarray(bulk.values)
-        )
-        _assert_traces_identical(scalar.trace, bulk.trace)
+        _assert_matches_loop("lcc", graph)
 
     def test_loopy_graph_parity(self):
         for algorithm, params in [("tc", {}), ("kc", {"k": 3}), ("lcc", {})]:
-            scalar, bulk = _run_both(algorithm, _loopy_graph(), **params)
-            assert np.array_equal(
-                np.asarray(scalar.values), np.asarray(bulk.values)
-            )
-            _assert_traces_identical(scalar.trace, bulk.trace)
+            _assert_matches_loop(algorithm, _loopy_graph(), **params)
 
     def test_auto_mode_takes_bulk(self):
+        """G-thinker has one wave per algorithm; ``engine_mode`` is
+        accepted and changes nothing."""
         platform = get_platform("G-thinker")
         auto = platform.run("tc", RANDOM, single_machine())
-        scalar, bulk = _run_both("tc", RANDOM)
-        assert auto.values == scalar.values == bulk.values
-        _assert_traces_identical(auto.trace, bulk.trace)
-
-    def test_engine_span_carries_path(self):
-        platform = get_platform("G-thinker")
-        with obs.tracing() as tracer:
-            platform.run("tc", RANDOM, single_machine(), engine_mode="bulk")
-        (engine_span,) = [s for s in tracer.spans if s.category == "engine"]
-        assert engine_span.attrs.get("path") == "bulk"
-        with obs.tracing() as tracer:
-            platform.run("tc", RANDOM, single_machine(), engine_mode="scalar")
-        (engine_span,) = [s for s in tracer.spans if s.category == "engine"]
-        assert engine_span.attrs.get("path") == "scalar"
+        for mode in ("bulk", "scalar"):
+            forced = platform.run("tc", RANDOM, single_machine(),
+                                  engine_mode=mode)
+            assert forced.values == auto.values
+            assert_traces_identical(forced.trace, auto.trace)
 
     def test_cache_counters_match(self):
-        """The bulk pull aggregation replicates the scalar cache's
-        hit/miss observability counters exactly."""
-        counts = {}
-        for mode in ("scalar", "bulk"):
-            with obs.tracing() as tracer:
-                get_platform("G-thinker").run(
-                    "kc", CLUSTERED, single_machine(), engine_mode=mode, k=4
-                )
-            totals = tracer.counters.snapshot()
-            counts[mode] = (
-                totals.get(obs.CACHE_MISSES, 0.0),
-                totals.get(obs.CACHE_HITS, 0.0),
+        """One miss per unique (worker, remote vertex) pull, one hit per
+        repeated request, as the task loop counts them."""
+        _, _, pulls, calls = clique_loop(CLUSTERED, _owner(CLUSTERED),
+                                         NUM_PARTS, 4)
+        with obs.tracing() as tracer:
+            get_platform("G-thinker").run(
+                "kc", CLUSTERED, single_machine(), k=4
             )
-        assert counts["scalar"] == counts["bulk"]
+        totals = tracer.counters.snapshot()
+        assert totals.get(obs.CACHE_MISSES, 0.0) == len(pulls)
+        assert totals.get(obs.CACHE_HITS, 0.0) == calls - len(pulls)
+        assert calls > len(pulls) > 0
 
     def test_kc_rejects_small_k_on_both_paths(self):
+        """k < 3 raises on both engines that run the clique census."""
         engine = SubgraphCentricEngine(STAR, TraceRecorder(NUM_PARTS))
         with pytest.raises(GraphStructureError):
             engine.count_k_cliques(2)
         with pytest.raises(GraphStructureError):
-            engine.count_k_cliques_bulk(2)
+            kc_blocks(BlockCentricEngine(STAR, TraceRecorder(NUM_PARTS)), k=2)
 
 
 class TestSubgraphEdgeCases:
@@ -153,74 +148,62 @@ class TestSubgraphEdgeCases:
     NaN coefficients and phantom triangles/cliques)."""
 
     def test_isolated_and_leaf_vertices_get_zero_lcc(self):
-        graph = _loopy_graph()
-        for mode in ("scalar", "bulk"):
-            result = get_platform("G-thinker").run(
-                "lcc", graph, single_machine(), engine_mode=mode
-            )
-            lcc = np.asarray(result.values)
-            assert not np.isnan(lcc).any()
-            assert lcc[4] == 0.0  # degree 1
-            assert lcc[5] == 0.0  # isolated
-            assert lcc[6] == 0.0  # isolated
+        result = get_platform("G-thinker").run(
+            "lcc", _loopy_graph(), single_machine()
+        )
+        lcc = np.asarray(result.values)
+        assert not np.isnan(lcc).any()
+        assert lcc[4] == 0.0  # degree 1
+        assert lcc[5] == 0.0  # isolated
+        assert lcc[6] == 0.0  # isolated
 
     def test_self_loops_close_no_triangle(self):
-        graph = _loopy_graph()
-        for mode in ("scalar", "bulk"):
-            result = get_platform("G-thinker").run(
-                "tc", graph, single_machine(), engine_mode=mode
-            )
-            assert result.values == 1  # only (0, 1, 2)
+        result = get_platform("G-thinker").run(
+            "tc", _loopy_graph(), single_machine()
+        )
+        assert result.values == 1  # only (0, 1, 2)
 
     def test_self_loops_join_no_clique(self):
-        graph = _loopy_graph()
-        for mode in ("scalar", "bulk"):
-            result = get_platform("G-thinker").run(
-                "kc", graph, single_machine(), engine_mode=mode, k=3
-            )
-            assert result.values == 1
+        result = get_platform("G-thinker").run(
+            "kc", _loopy_graph(), single_machine(), k=3
+        )
+        assert result.values == 1
 
     def test_looped_vertex_lcc_uses_simple_degree(self):
         """Vertex 0 has simple degree 2 (loop slot excluded) and sits in
         one triangle, so its coefficient is exactly 1.0."""
-        graph = _loopy_graph()
         result = get_platform("G-thinker").run(
-            "lcc", graph, single_machine(), engine_mode="bulk"
+            "lcc", _loopy_graph(), single_machine()
         )
         assert np.asarray(result.values)[0] == 1.0
 
 
 class TestPullCacheScope:
-    """pull_adjacency dedupes within one phase and re-meters across
-    phases — the invariant the bulk per-wave aggregation relies on
-    (regression: the cache used to persist across phases, so a second
-    wave's pulls were silently free on the scalar path only)."""
+    """The pull cache dedupes within one wave and re-meters across
+    waves (regression: the cache used to persist across waves, so a
+    second wave's pulls were silently free)."""
 
     def test_repeat_pull_within_phase_charges_once(self):
+        """On a star every leaf's forward list holds the hub, so each
+        worker requests the hub once per local leaf but ships it once."""
         recorder = TraceRecorder(NUM_PARTS)
         engine = SubgraphCentricEngine(STAR, recorder)
-        u = int(np.flatnonzero(engine.owner != engine.owner[0])[0])
-        worker = int(engine.owner[0])
-        engine.begin_phase()
-        engine.pull_adjacency(worker, u)
-        engine.pull_adjacency(worker, u)
-        engine.end_phase()
-        trace = recorder.trace
-        assert trace.steps[0].msg_count.sum() == 1
+        _, _, pulls, calls = triangle_loop(STAR, engine.owner, NUM_PARTS)
+        engine.count_triangles()
+        (step,) = recorder.trace.steps
+        assert step.msg_count.sum() == len(pulls) < calls
 
     def test_pull_in_two_phases_charges_twice(self):
         recorder = TraceRecorder(NUM_PARTS)
         engine = SubgraphCentricEngine(STAR, recorder)
-        u = int(np.flatnonzero(engine.owner != engine.owner[0])[0])
-        worker = int(engine.owner[0])
         for _ in range(2):
-            engine.begin_phase()
-            engine.pull_adjacency(worker, u)
-            engine.end_phase()
+            engine.count_triangles()
         trace = recorder.trace
         assert trace.supersteps == 2
-        assert trace.steps[0].msg_count.sum() == 1
-        assert trace.steps[1].msg_count.sum() == 1
+        assert trace.steps[0].msg_count.sum() > 0
+        assert np.array_equal(
+            trace.steps[0].msg_count, trace.steps[1].msg_count
+        )
         assert np.array_equal(
             trace.steps[0].msg_bytes, trace.steps[1].msg_bytes
         )
