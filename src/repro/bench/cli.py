@@ -23,7 +23,7 @@ cold run; see ``docs/benchmarking.md``.
 
 Execution knobs resolve through one
 :class:`~repro.bench.execprofile.ExecutionProfile` with precedence
-``CLI > $REPRO_* env > --profile TOML > defaults`` (see
+``CLI > --profile TOML > defaults`` (see
 ``docs/service.md``).  ``serve`` starts the multi-tenant benchmark
 service (:mod:`repro.service`) on ``--host``/``--port``.
 """
@@ -31,7 +31,6 @@ service (:mod:`repro.service`) on ``--host``/``--port``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -463,10 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile",
         metavar="PATH",
-        default=os.environ.get("REPRO_PROFILE"),
-        help="TOML execution profile supplying the knobs below "
-             "(default $REPRO_PROFILE); precedence is CLI > $REPRO_* "
-             "env > profile > defaults",
+        default=None,
+        help="TOML execution profile supplying the knobs below; "
+             "precedence is CLI > profile > defaults",
     )
     parser.add_argument(
         "--trace",
@@ -491,38 +489,34 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         default=None,
         help="persistent content-addressed artifact cache shared across "
-             "processes and invocations (default $REPRO_CACHE_DIR; "
-             "unset = no persistence)",
+             "processes and invocations (default: no persistence)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the persistent artifact cache even if --cache-dir "
-             "or $REPRO_CACHE_DIR is set",
+             "or the profile sets one",
     )
     parser.add_argument(
         "--dataset-cache-size",
         type=int,
         default=None,
         metavar="N",
-        help="in-process dataset lru_cache size (default "
-             "$REPRO_DATASET_CACHE_SIZE or 32)",
+        help="in-process dataset lru_cache size (default 32)",
     )
     parser.add_argument(
         "--dynamic-batches",
         type=int,
         default=None,
         metavar="N",
-        help="dynamic: incremental windows per stream (default "
-             "$REPRO_DYNAMIC_BATCHES or 8)",
+        help="dynamic: incremental windows per stream (default 8)",
     )
     parser.add_argument(
         "--dynamic-batch-edges",
         type=int,
         default=None,
         metavar="N",
-        help="dynamic: edges per incremental window (default "
-             "$REPRO_DYNAMIC_BATCH_EDGES or 50)",
+        help="dynamic: edges per incremental window (default 50)",
     )
     parser.add_argument(
         "--host",
@@ -535,15 +529,6 @@ def main(argv: list[str] | None = None) -> int:
         default=8642,
         metavar="N",
         help="serve: TCP port to bind (default 8642; 0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        type=float,
-        default=None,
-        metavar="BYTES",
-        help="serve: cap the sum of in-flight admitted working sets "
-             "(default unlimited; concurrency is still bounded by "
-             "--jobs)",
     )
     args = parser.parse_args(argv)
 
@@ -602,14 +587,7 @@ def _serve(args, profile) -> int:
 
     from repro.service.server import run_service
 
-    asyncio.run(
-        run_service(
-            jobs=profile.jobs,
-            host=args.host,
-            port=args.port,
-            memory_budget_bytes=args.memory_budget,
-        )
-    )
+    asyncio.run(run_service(jobs=profile.jobs, host=args.host, port=args.port))
     return 0
 
 

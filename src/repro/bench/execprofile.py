@@ -7,7 +7,7 @@ re-assembled the same knobs by hand.  :class:`ExecutionProfile`
 consolidates them into a single frozen value object with **one**
 precedence rule, applied by :func:`resolve_profile`:
 
-    CLI flags  >  ``REPRO_*`` environment variables  >  profile file  >  defaults
+    CLI flags  >  profile file  >  defaults
 
 Profile files are TOML (stdlib :mod:`tomllib`), either flat or under an
 ``[execution]`` table::
@@ -18,7 +18,9 @@ Profile files are TOML (stdlib :mod:`tomllib`), either flat or under an
     cache-dir = "benchmarks/cache"
     dataset-cache-size = 8
 
-Keys may use dashes or underscores.  Unknown keys raise
+Keys may use dashes or underscores, and each value must have its
+field's native TOML type (``jobs = 4``, not ``jobs = "4"``).  Unknown
+keys and mistyped values raise
 :class:`~repro.errors.ExecutionProfileError` — a typo'd knob should
 fail loudly, not silently fall back to a default.
 """
@@ -32,11 +34,7 @@ from typing import Any, Mapping
 
 from repro.errors import ExecutionProfileError
 
-__all__ = ["ExecutionProfile", "load_profile", "resolve_profile", "ENV_PREFIX"]
-
-#: Environment variables are the profile keys upper-cased under this
-#: prefix: ``REPRO_JOBS``, ``REPRO_CACHE_DIR``, ``REPRO_TRACE``, …
-ENV_PREFIX = "REPRO_"
+__all__ = ["ExecutionProfile", "load_profile", "resolve_profile"]
 
 
 @dataclass(frozen=True)
@@ -99,36 +97,18 @@ _BOOL_FIELDS = {"no_cache"}
 _FIELD_NAMES = tuple(f.name for f in fields(ExecutionProfile))
 
 
-def _coerce(name: str, value: Any, *, source: str) -> Any:
-    """Coerce one raw knob value (TOML or env string) to its field type."""
-    if value is None:
-        return None
+def _check_type(name: str, value: Any, *, source: str) -> Any:
+    """Check one TOML knob value has its field's native type."""
     if name in _BOOL_FIELDS:
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str):
-            lowered = value.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off", ""):
-                return False
+        ok, kind = isinstance(value, bool), "a boolean"
+    elif name in _INT_FIELDS:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        kind = "an integer"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
         raise ExecutionProfileError(
-            f"{source}: {name} must be a boolean, got {value!r}"
-        )
-    if name in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ExecutionProfileError(
-                f"{source}: {name} must be an integer, got {value!r}"
-            )
-        try:
-            return int(value)
-        except ValueError:
-            raise ExecutionProfileError(
-                f"{source}: {name} must be an integer, got {value!r}"
-            ) from None
-    if not isinstance(value, str):
-        raise ExecutionProfileError(
-            f"{source}: {name} must be a string, got {value!r}"
+            f"{source}: {name} must be {kind}, got {value!r}"
         )
     return value
 
@@ -143,7 +123,7 @@ def _normalize_keys(raw: Mapping[str, Any], *, source: str) -> dict[str, Any]:
                 f"{source}: unknown execution knob {key!r} "
                 f"(known: {', '.join(_FIELD_NAMES)})"
             )
-        out[name] = _coerce(name, value, source=source)
+        out[name] = _check_type(name, value, source=source)
     return out
 
 
@@ -177,36 +157,23 @@ def load_profile(path: str | os.PathLike[str]) -> ExecutionProfile:
     return ExecutionProfile(**_normalize_keys(data, source=source))
 
 
-def _env_overrides(env: Mapping[str, str]) -> dict[str, Any]:
-    """Collect ``REPRO_*`` execution knobs present in ``env``."""
-    out: dict[str, Any] = {}
-    for name in _FIELD_NAMES:
-        raw = env.get(ENV_PREFIX + name.upper())
-        if raw is not None and raw != "":
-            out[name] = _coerce(name, raw, source=ENV_PREFIX + name.upper())
-    return out
-
-
 def resolve_profile(
     cli: Mapping[str, Any] | None = None,
     *,
     profile_path: str | os.PathLike[str] | None = None,
-    env: Mapping[str, str] | None = None,
 ) -> ExecutionProfile:
-    """Layer the four knob sources into one final profile.
+    """Layer the three knob sources into one final profile.
 
     ``cli`` maps field names to explicitly-given values — pass ``None``
     (or omit the key) for flags the user did not type, so defaults
     never masquerade as choices.  Precedence, lowest to highest:
-    dataclass defaults, the profile file, ``REPRO_*`` environment
-    variables, CLI values.
+    dataclass defaults, the profile file, CLI values.
     """
     profile = (
         load_profile(profile_path) if profile_path is not None
         else ExecutionProfile()
     )
-    env_map = os.environ if env is None else env
-    overrides = _env_overrides(env_map)
+    overrides: dict[str, Any] = {}
     if cli:
         for key, value in cli.items():
             name = key.replace("-", "_")

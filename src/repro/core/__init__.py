@@ -17,12 +17,6 @@ from repro.core.builder import (
     star_graph,
 )
 from repro.core.io import load_binary, read_edge_list, save_binary, write_edge_list
-from repro.core.mmapcsr import (
-    CSRStreamWriter,
-    open_graph_csr,
-    read_csr_header,
-    write_graph_csr,
-)
 from repro.core.stats import (
     GraphSummary,
     approximate_diameter,
@@ -86,10 +80,6 @@ __all__ = [
     "write_edge_list",
     "save_binary",
     "load_binary",
-    "CSRStreamWriter",
-    "write_graph_csr",
-    "open_graph_csr",
-    "read_csr_header",
     "summarize",
     "degree_histogram",
     "approximate_diameter",

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.graph import Graph
 from repro.core.stats import exact_diameter, local_clustering
-from repro.core.traversal import connected_components
 
 __all__ = [
     "CommunityStatistics",
@@ -91,11 +90,6 @@ def detect_communities(
         if changed == 0:
             break
     return _groups_from_labels(labels)
-
-
-def communities_from_components(graph: Graph) -> list[np.ndarray]:
-    """Communities = weakly connected components (a cheap alternative)."""
-    return _groups_from_labels(connected_components(graph))
 
 
 def community_statistics(

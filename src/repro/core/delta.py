@@ -1,12 +1,11 @@
 """Delta overlays over immutable CSR graphs.
 
 :class:`DeltaCSR` applies :class:`~repro.datagen.dynamic.EdgeBatch`-style
-edge insertions to an existing (possibly mmap-backed, read-only)
-:class:`~repro.core.graph.Graph` without rebuilding it: new edges live in
-a *sorted delta segment* beside the base CSR, merged with the base
-adjacency only when a caller asks for a materialized snapshot or a
-merged neighbour view.  The base arrays are never written — a
-memory-mapped graph can be overlaid safely.
+edge insertions to an existing :class:`~repro.core.graph.Graph` without
+rebuilding it: new edges live in a *sorted delta segment* beside the base
+CSR, merged with the base adjacency only when a caller asks for a
+materialized snapshot or a merged neighbour view.  The base arrays are
+never written.
 
 This replaces the O(T²) pattern of re-running ``Graph.from_edges`` over
 the whole prefix after every batch of a T-window stream
@@ -49,8 +48,8 @@ def _slot_keys(graph: Graph) -> np.ndarray:
     """Sorted directed slot keys (``src * n + dst``) of a CSR graph.
 
     For a graph whose adjacency blocks are ascending (every graph built
-    by ``Graph.from_edges`` / the mmap CSR writer), the flat key array is
-    already globally sorted; otherwise it is sorted once here.
+    by ``Graph.from_edges``), the flat key array is already globally
+    sorted; otherwise it is sorted once here.
     """
     n = np.int64(graph.num_vertices)
     degrees = np.diff(graph.indptr)

@@ -140,9 +140,8 @@ class Graph:
         self._sorted_adjacency: bool | None = None
         n = self.num_vertices
         # The neighbour-range scan reads every CSR slot; ``validate=False``
-        # skips it for trusted sources — notably memory-mapped graphs
-        # (repro.core.mmapcsr), where paging the whole edge file through a
-        # min/max at open time would defeat the out-of-core design.
+        # skips it for arrays built in-package from already-checked ids
+        # (repro.core.delta's snapshots and empty graphs).
         if validate and self.indices.size and (
             self.indices.min() < 0 or self.indices.max() >= n
         ):
@@ -254,7 +253,7 @@ class Graph:
 
         ``validate=False`` skips the full-array sanity scans; only pass
         it for arrays whose invariants are guaranteed by construction
-        (e.g. a digest-verified on-disk CSR file).
+        (e.g. a :class:`~repro.core.delta.DeltaCSR` snapshot).
         """
         if num_edges is None:
             slots = int(indices.shape[0])
@@ -324,14 +323,6 @@ class Graph:
         self._ensure_reverse()
         assert self._rev_indptr is not None and self._rev_indices is not None
         return self._rev_indices[self._rev_indptr[v]: self._rev_indptr[v + 1]]
-
-    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(indptr, indices)`` of the reverse adjacency."""
-        if not self.directed:
-            return self.indptr, self.indices
-        self._ensure_reverse()
-        assert self._rev_indptr is not None and self._rev_indices is not None
-        return self._rev_indptr, self._rev_indices
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the edge ``u -> v`` exists (binary search when sorted)."""

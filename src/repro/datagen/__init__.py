@@ -40,11 +40,6 @@ from repro.datagen.dynamic import (
     EdgeBatch,
     generate_stream,
 )
-from repro.datagen.shards import (
-    OutOfCoreGeneration,
-    count_unique_edges,
-    generate_fft_to_disk,
-)
 from repro.datagen.catalog import (
     DATASETS,
     DEFAULT_SCALE_DIVISOR,
@@ -96,7 +91,4 @@ __all__ = [
     "dataset_names",
     "set_dataset_cache_size",
     "set_dataset_persistence",
-    "OutOfCoreGeneration",
-    "generate_fft_to_disk",
-    "count_unique_edges",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.graph import EdgeList, Graph
+from repro.core.graph import Graph
 from repro.errors import GeneratorParameterError
 
 __all__ = [
@@ -139,33 +139,3 @@ def timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
-
-
-def finalize_result(
-    src: list[int] | np.ndarray,
-    dst: list[int] | np.ndarray,
-    n: int,
-    counter: TrialCounter,
-    elapsed: float,
-    parameters: dict,
-    *,
-    order: np.ndarray | None = None,
-) -> GenerationResult:
-    """Assemble a :class:`GenerationResult` from raw sampled edges.
-
-    When ``order`` is given, positions in the homophily sequence are
-    mapped back to original vertex ids before building the graph.
-    """
-    src_arr = np.asarray(src, dtype=np.int64)
-    dst_arr = np.asarray(dst, dtype=np.int64)
-    if order is not None:
-        src_arr = order[src_arr]
-        dst_arr = order[dst_arr]
-    edges = EdgeList(src=src_arr, dst=dst_arr, num_vertices=n, directed=False)
-    graph = Graph.from_edge_list(edges)
-    return GenerationResult(
-        graph=graph,
-        counter=counter,
-        elapsed_seconds=elapsed,
-        parameters=dict(parameters),
-    )

@@ -14,7 +14,6 @@ entry for the EXPERIMENTS.md paper-vs-measured comparison.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Protocol
@@ -45,13 +44,8 @@ __all__ = [
 #: Default down-scaling factor from the paper's vertex counts.
 DEFAULT_SCALE_DIVISOR = 2000
 
-#: Environment knob for the in-process dataset ``lru_cache`` size
-#: (also settable at runtime via :func:`set_dataset_cache_size` or
-#: ``repro-bench --dataset-cache-size``).
-CACHE_SIZE_ENV = "REPRO_DATASET_CACHE_SIZE"
-
-#: Default in-process cache size when neither the env var nor the
-#: runtime knob overrides it.
+#: Default in-process dataset ``lru_cache`` size (resized at runtime via
+#: :func:`set_dataset_cache_size` or ``repro-bench --dataset-cache-size``).
 DEFAULT_CACHE_SIZE = 32
 
 #: Default down-scaling factor for mean degree.  The paper's datasets have
@@ -180,8 +174,8 @@ def build_dataset(
     Results are memoized per ``(name, scale_divisor, degree_divisor,
     seed)`` because the benchmark suite reuses the same datasets across
     many experiments.  Two cache layers are consulted in order: the
-    in-process ``lru_cache`` (size via :func:`set_dataset_cache_size` or
-    ``$REPRO_DATASET_CACHE_SIZE``), then the pluggable persistent layer
+    in-process ``lru_cache`` (size via :func:`set_dataset_cache_size`),
+    then the pluggable persistent layer
     (:func:`set_dataset_persistence`), so pool workers and repeated
     invocations share generated datasets instead of rebuilding.  When
     tracing is enabled, in-process hits and misses surface as the
@@ -251,20 +245,11 @@ def _generate(
     )
 
 
-def _default_cache_size() -> int:
-    raw = os.environ.get(CACHE_SIZE_ENV, "")
-    try:
-        size = int(raw)
-    except ValueError:
-        return DEFAULT_CACHE_SIZE
-    return size if size >= 1 else DEFAULT_CACHE_SIZE
-
-
 def _make_cache(maxsize: int):
     return lru_cache(maxsize=maxsize)(_build)
 
 
-_build_cached = _make_cache(_default_cache_size())
+_build_cached = _make_cache(DEFAULT_CACHE_SIZE)
 
 
 def set_dataset_cache_size(maxsize: int) -> None:

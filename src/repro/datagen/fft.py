@@ -200,9 +200,6 @@ class FFTDG:
         """Stage 3: failure-free edge sampling over homophily positions.
 
         Accumulates the chunks of :meth:`sample_edge_chunks` in memory.
-        The sharded out-of-core path (:mod:`repro.datagen.shards`)
-        consumes the *same* chunk stream but flushes it to disk, so the
-        two paths are draw-for-draw identical by construction.
         """
         counter = TrialCounter()
         src_chunks: list[np.ndarray] = []
@@ -307,7 +304,6 @@ def calibrate_alpha(
     seed: int = 0,
     tolerance: float = 0.05,
     max_alpha: float = 1e6,
-    edge_count_fn=None,
 ) -> float:
     """Find the density factor that yields a target mean degree.
 
@@ -316,13 +312,6 @@ def calibrate_alpha(
     vertex count, a down-scaled reproduction must re-calibrate.  Mean
     degree is monotonically increasing in alpha, so a bisection on
     ``log(alpha)`` over trial generations converges quickly.
-
-    ``edge_count_fn(config) -> int`` replaces the in-memory trial
-    generation with another way of counting the unique edges of
-    ``FFTDG(config).generate()`` — the out-of-core catalog passes
-    :func:`repro.datagen.shards.count_unique_edges` so calibration stays
-    bounded-memory too.  Any hook that returns the exact in-memory count
-    yields a bit-identical bisection path and therefore the same alpha.
 
     Returns the smallest alpha whose generated mean degree is within
     ``tolerance`` (relative) of the target, or the boundary value if the
@@ -339,10 +328,7 @@ def calibrate_alpha(
             use_homophily_order=False,
             seed=seed,
         )
-        if edge_count_fn is not None:
-            edges = int(edge_count_fn(config))
-        else:
-            edges = FFTDG(config).generate().graph.num_edges
+        edges = FFTDG(config).generate().graph.num_edges
         return 2.0 * edges / max(1, num_vertices)
 
     lo, hi = 1.0, 4.0

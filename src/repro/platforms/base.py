@@ -245,10 +245,8 @@ class Platform:
         The public face of :meth:`_admit`: validates the configuration
         and memory exactly as :meth:`run` would before execution, and
         returns the admitted working-set size in bytes.  The benchmark
-        service (:mod:`repro.service`) uses this as its capacity gate —
-        scheduling a case only when the sum of in-flight admitted bytes
-        fits the service budget — and :meth:`check_capacity` delegates
-        here.
+        service (:mod:`repro.service`) preflights every case through it,
+        and :meth:`check_capacity` delegates here.
 
         Raises :class:`~repro.errors.UnsupportedAlgorithmError`,
         :class:`~repro.errors.PlatformError`, or

@@ -277,10 +277,6 @@ class BulkInbox:
             return np.empty(0, dtype=np.int64)
         return np.nonzero(self._counts)[0]
 
-    def received_mask(self) -> np.ndarray:
-        """(n,) bool — whether each vertex received any message."""
-        return self.count_per_vertex() > 0
-
     def sum_per_vertex(self) -> np.ndarray:
         """(n,) per-vertex message sum, 0 where nothing arrived.
 

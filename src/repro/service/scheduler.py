@@ -17,12 +17,12 @@ Two pieces, both synchronous and independently testable:
   same default cluster), builds the dataset through the shared catalog
   cache, and charges the working set via the platform's public
   :meth:`~repro.platforms.base.Platform.admission_bytes` — the same
-  ``_admit()`` path ``Platform.run`` gates on.  The verdict tells the
-  service whether to reserve capacity (``"ok"`` with the admitted
-  bytes) or to fast-path the case (any rejection verdict: the case
-  still runs through ``run_case``, which maps the same error to the
-  same structured :class:`~repro.bench.runner.CaseOutcome` a direct
-  call would return — admission never forks outcome identity).
+  ``_admit()`` path ``Platform.run`` gates on.  The verdict is
+  ``"ok"`` (with the admitted bytes) or a rejection, which the service
+  tallies; a rejected case still runs through ``run_case``, which maps
+  the same error to the same structured
+  :class:`~repro.bench.runner.CaseOutcome` a direct call would return —
+  admission never forks outcome identity.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class AdmissionTicket:
 
     @property
     def admitted(self) -> bool:
-        """Whether the case may occupy reserved capacity."""
+        """Whether the case passed the platform's admission check."""
         return self.verdict == "ok"
 
 

@@ -19,10 +19,9 @@ Layering (all existing substrates, composed):
   round-robin weight.
 * **Admission** — :func:`~repro.service.scheduler.preflight_case`
   charges each case's working set through the platform's ``_admit()``
-  path before it occupies capacity; admitted bytes are reserved against
-  an optional service-wide memory budget, and rejected cases bypass the
-  reservation entirely (``run_case`` maps them to the same structured
-  failure outcome a direct call returns).
+  path before it occupies capacity; rejected cases are tallied and
+  ``run_case`` maps them to the same structured failure outcome a
+  direct call returns.
 * **Execution** — a bounded thread executor runs cases in-process, so
   they share the session memo and ambient store and the memo → store →
   execute lookup order applies with no fold-back bookkeeping.
@@ -99,42 +98,6 @@ class _CaseEntry:
     key: str
 
 
-class _ByteGate:
-    """Async capacity gate over admitted working-set bytes.
-
-    ``acquire(n)`` waits until ``used + n <= budget``; a case larger
-    than the whole budget is clamped so it can still run (alone).
-    Tracks the peak reservation for the metrics endpoint.
-    """
-
-    def __init__(self, budget: float) -> None:
-        if budget <= 0:
-            raise ServiceError(
-                f"memory budget must be positive, got {budget!r}"
-            )
-        self.budget = float(budget)
-        self.used = 0.0
-        self.peak = 0.0
-        self._cond = asyncio.Condition()
-
-    async def acquire(self, n: float) -> float:
-        """Reserve ``n`` bytes (clamped to the budget); returns the
-        amount actually reserved, which :meth:`release` must be given
-        back."""
-        n = min(float(n), self.budget)
-        async with self._cond:
-            await self._cond.wait_for(lambda: self.used + n <= self.budget)
-            self.used += n
-            self.peak = max(self.peak, self.used)
-        return n
-
-    async def release(self, n: float) -> None:
-        """Return a reservation taken by :meth:`acquire`."""
-        async with self._cond:
-            self.used -= n
-            self._cond.notify_all()
-
-
 class BenchmarkService:
     """Long-running multi-tenant benchmark server.
 
@@ -143,13 +106,6 @@ class BenchmarkService:
     jobs:
         Executor width — the maximum number of concurrently executing
         cases (the slot budget); they run on in-process worker threads.
-    memory_budget_bytes:
-        Optional service-wide cap on the *sum* of in-flight admitted
-        working sets (each case's ``_admit()`` charge).  ``None``
-        disables byte gating; slots still bound concurrency.
-    admission:
-        Set ``False`` to skip the preflight entirely (cases still fail
-        structurally inside ``run_case`` if they cannot be admitted).
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`close` explicitly.  All public coroutines must run on the
@@ -157,21 +113,10 @@ class BenchmarkService:
     state.
     """
 
-    def __init__(
-        self,
-        *,
-        jobs: int = 1,
-        memory_budget_bytes: float | None = None,
-        admission: bool = True,
-    ) -> None:
+    def __init__(self, *, jobs: int = 1) -> None:
         if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
             raise ServiceError(f"jobs must be an integer >= 1, got {jobs!r}")
         self._jobs = jobs
-        self._admission = bool(admission)
-        self._byte_gate = (
-            None if memory_budget_bytes is None
-            else _ByteGate(memory_budget_bytes)
-        )
         self._wrr = WeightedRoundRobin()
         self._jobs_by_id: dict[str, _Job] = {}
         self._inflight: dict[str, asyncio.Future] = {}
@@ -362,11 +307,6 @@ class BenchmarkService:
                 "current": self._inflight_count,
                 "peak": self.stats["peak_inflight"],
                 "slots": self._jobs,
-                "bytes": self._byte_gate.used if self._byte_gate else 0.0,
-                "peak_bytes": self._byte_gate.peak if self._byte_gate else 0.0,
-                "byte_budget": (
-                    self._byte_gate.budget if self._byte_gate else None
-                ),
             },
             "store": store.stats() if store is not None else None,
             "dataset_cache": {
@@ -437,20 +377,16 @@ class BenchmarkService:
         self._finish_case(entry, outcome)
 
     async def _run_one(self, spec: CaseSpec) -> CaseOutcome:
-        """Preflight, reserve capacity, execute, release."""
+        """Preflight, then execute."""
         loop = asyncio.get_running_loop()
         tracer = get_tracer()
-        reserved = 0.0
-        if self._admission:
-            ticket = await loop.run_in_executor(
-                self._executor, preflight_case, spec
-            )
-            if not ticket.admitted:
-                self.stats["admission_rejected"] += 1
-                if tracer.enabled:
-                    tracer.add(SERVICE_REJECTED, 1.0)
-            elif self._byte_gate is not None:
-                reserved = await self._byte_gate.acquire(ticket.bytes)
+        ticket = await loop.run_in_executor(
+            self._executor, preflight_case, spec
+        )
+        if not ticket.admitted:
+            self.stats["admission_rejected"] += 1
+            if tracer.enabled:
+                tracer.add(SERVICE_REJECTED, 1.0)
         try:
             self._inflight_count += 1
             self.stats["peak_inflight"] = max(
@@ -460,8 +396,6 @@ class BenchmarkService:
             outcome = await loop.run_in_executor(self._executor, spec.run)
         finally:
             self._inflight_count -= 1
-            if reserved and self._byte_gate is not None:
-                await self._byte_gate.release(reserved)
         return outcome
 
     def _finish_case(self, entry: _CaseEntry, outcome: CaseOutcome) -> None:
@@ -625,7 +559,6 @@ async def run_service(
     jobs: int = 1,
     host: str = "127.0.0.1",
     port: int = 8642,
-    memory_budget_bytes: float | None = None,
     announce=None,
 ) -> None:
     """Run a service + TCP server until a ``shutdown`` op arrives.
@@ -633,9 +566,7 @@ async def run_service(
     The coroutine behind ``repro-bench serve``; ``announce`` (if given)
     is called with the bound ``(host, port)`` once listening.
     """
-    async with BenchmarkService(
-        jobs=jobs, memory_budget_bytes=memory_budget_bytes
-    ) as service:
+    async with BenchmarkService(jobs=jobs) as service:
         server = ServiceServer(service, host, port)
         await server.start()
         if announce is not None:

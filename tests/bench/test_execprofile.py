@@ -1,4 +1,4 @@
-"""ExecutionProfile tests: TOML loading, env layering, CLI precedence."""
+"""ExecutionProfile tests: TOML loading, validation, CLI precedence."""
 
 import pytest
 
@@ -56,9 +56,14 @@ class TestLoadProfile:
             load_profile(path)
 
     def test_bad_type_rejected(self, tmp_path):
-        path = _write(tmp_path, 'jobs = "four"\n')
-        with pytest.raises(ExecutionProfileError, match="integer"):
-            load_profile(path)
+        # Each value needs its field's native TOML type; a string that
+        # would parse as one is still rejected.
+        for text, kind in (('jobs = "four"\n', "integer"),
+                           ('jobs = "4"\n', "integer"),
+                           ('no-cache = "true"\n', "boolean")):
+            path = _write(tmp_path, text)
+            with pytest.raises(ExecutionProfileError, match=kind):
+                load_profile(path)
 
 
 class TestValidation:
@@ -83,53 +88,37 @@ class TestValidation:
         assert profile.dynamic_batches == 8
         assert profile.dynamic_batch_edges == 50
 
-    def test_dynamic_knobs_resolve_from_env(self):
-        profile = resolve_profile(env={
-            "REPRO_DYNAMIC_BATCHES": "3",
-            "REPRO_DYNAMIC_BATCH_EDGES": "25",
-        })
-        assert profile.dynamic_batches == 3
-        assert profile.dynamic_batch_edges == 25
-
 
 class TestPrecedence:
-    def test_cli_beats_env_beats_profile_beats_defaults(self, tmp_path):
+    def test_cli_beats_profile_beats_defaults(self, tmp_path):
         path = _write(
             tmp_path,
             "jobs = 2\ndynamic-batches = 3\ndataset-cache-size = 8\n",
         )
-        profile = resolve_profile(
-            {"jobs": 8},
-            profile_path=path,
-            env={"REPRO_JOBS": "4", "REPRO_DYNAMIC_BATCHES": "5"},
-        )
+        profile = resolve_profile({"jobs": 8}, profile_path=path)
         assert profile.jobs == 8            # CLI wins
-        assert profile.dynamic_batches == 5  # env beats profile
-        assert profile.dataset_cache_size == 8  # profile beats default
+        assert profile.dynamic_batches == 3  # profile beats default
+        assert profile.dataset_cache_size == 8
         assert profile.cache_dir is None    # default survives
 
     def test_absent_cli_flags_do_not_mask(self, tmp_path):
         path = _write(tmp_path, "jobs = 6\n")
         profile = resolve_profile(
-            {"jobs": None, "no_cache": False}, profile_path=path, env={}
+            {"jobs": None, "no_cache": False}, profile_path=path
         )
         assert profile.jobs == 6
         assert profile.no_cache is False
 
-    def test_env_bool_coercion(self):
-        profile = resolve_profile({}, env={"REPRO_NO_CACHE": "true"})
-        assert profile.no_cache is True
-
-    def test_bad_env_value_rejected(self):
-        with pytest.raises(ExecutionProfileError, match="REPRO_JOBS"):
-            resolve_profile({}, env={"REPRO_JOBS": "many"})
-
     def test_unknown_cli_knob_rejected(self):
         with pytest.raises(ExecutionProfileError):
-            resolve_profile({"warp_speed": 9}, env={})
+            resolve_profile({"warp_speed": 9})
 
     def test_no_sources_yields_defaults(self):
-        assert resolve_profile({}, env={}) == ExecutionProfile()
+        assert resolve_profile({}) == ExecutionProfile()
+
+    def test_environment_is_not_a_source(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        assert resolve_profile({}) == ExecutionProfile()
 
 
 class TestCliIntegration:

@@ -86,6 +86,8 @@ class TestCrashRecovery:
                               fault_schedule=sched, checkpoint_interval=2)
         assert first.priced.seconds == second.priced.seconds
         assert first.priced.recovery_seconds > 0
+        # A crash at superstep 0 strikes before the first checkpoint.
+        assert (first.priced.checkpoint_seconds > 0) == (crash_step > 0)
 
     def test_faulted_slower_than_failure_free(self, platform_name, algorithm,
                                               crash_step, graph, cluster):

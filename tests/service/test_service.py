@@ -24,7 +24,6 @@ from repro.service import (
     SubmitRequest,
     case_key,
     outcome_fingerprint,
-    preflight_case,
 )
 
 # Small, fast, distinct cases (scale_divisor=20000 keeps graphs tiny).
@@ -145,27 +144,6 @@ class TestConcurrentAdmission:
 
 
 class TestByteBudget:
-    def test_inflight_bytes_never_exceed_budget(self):
-        charges = [preflight_case(c.to_spec()).bytes for c in POOL]
-        # Room for the largest case plus half the smallest: at most one
-        # big case (or a couple of small ones) may hold bytes at once.
-        budget = max(charges) + min(charges) / 2
-
-        async def scenario():
-            async with BenchmarkService(
-                jobs=4, memory_budget_bytes=budget
-            ) as service:
-                job = await service.submit(
-                    SubmitRequest(tenant="t", cases=POOL * 2)
-                )
-                await service.result(job)
-                return service.metrics()
-
-        metrics = asyncio.run(scenario())
-        assert 0 < metrics["inflight"]["peak_bytes"] <= budget
-        assert metrics["inflight"]["byte_budget"] == budget
-        assert metrics["inflight"]["bytes"] == 0.0
-
     def test_rejected_case_outcome_identical_to_direct(self):
         # G-thinker/pr fails admission; the service must serve the same
         # structured failure a direct call produces.
@@ -175,9 +153,7 @@ class TestByteBudget:
         clear_case_cache()
 
         async def scenario():
-            async with BenchmarkService(
-                jobs=2, memory_budget_bytes=1e12
-            ) as service:
+            async with BenchmarkService(jobs=2) as service:
                 job = await service.submit(
                     SubmitRequest(tenant="t", cases=(bad,))
                 )
@@ -249,8 +225,6 @@ class TestServiceSurface:
     def test_bad_constructor_args_rejected(self):
         with pytest.raises(ServiceError):
             BenchmarkService(jobs=0)
-        with pytest.raises(ServiceError):
-            BenchmarkService(memory_budget_bytes=-1.0)
 
     def test_store_hits_across_service_restarts(self, tmp_path):
         # Two service generations over the same store: the second must

@@ -33,7 +33,6 @@ REQUIRED_PAGES = (
     "docs/benchmarking.md",
     "docs/data-generators.md",
     "docs/dynamic.md",
-    "docs/scaling.md",
     "docs/service.md",
 )
 
