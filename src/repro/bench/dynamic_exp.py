@@ -1,8 +1,8 @@
 """The dynamic-workload experiment: PEval/IncEval vs per-window recompute.
 
 One shared implementation behind ``repro-bench dynamic``, the
-``benchmarks/bench_dynamic_workload.py`` grid, and the CI smoke tool
-(``tools/dynamic_smoke.py``).  A run compares two ways of keeping an
+``benchmarks/bench_dynamic_workload.py`` grid, and the IncEval gate in
+``tests/bench/test_dynamic_exp.py``.  A run compares two ways of keeping an
 algorithm's result current over a :class:`~repro.datagen.dynamic`
 edge-insertion stream:
 

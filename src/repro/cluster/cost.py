@@ -220,6 +220,28 @@ class TraceRecorder:
         self._count[i, j] += count
         self._bytes[i, j] += total_bytes
 
+    def add_message_counts(
+        self, counts: np.ndarray, total_bytes: np.ndarray
+    ) -> None:
+        """Charge a whole ``(parts, parts)`` matrix of messages at once.
+
+        ``counts[i, j]`` messages totalling ``total_bytes[i, j]`` go from
+        part ``i`` to part ``j``.  Every cell takes exactly one addition,
+        so for uniform payloads (``total_bytes = nbytes * counts``) this
+        charges the same floats as one :meth:`add_message` per non-zero
+        cell: zero cells add ``+0.0``, and ``nbytes * count`` is the
+        same product either way.
+        """
+        self._require_open()
+        shape = (self.parts, self.parts)
+        if np.shape(counts) != shape or np.shape(total_bytes) != shape:
+            raise ClusterConfigError(
+                f"message matrices must be {shape}, got "
+                f"{np.shape(counts)} and {np.shape(total_bytes)}"
+            )
+        self._count += counts
+        self._bytes += total_bytes
+
     def _check_part(self, part: int) -> int:
         if not 0 <= part < self.parts:
             raise ClusterConfigError(

@@ -3,7 +3,8 @@
 Every vectorized ("bulk") execution path — vertex-, edge-, block-, and
 subgraph-centric — is built from the same handful of flat-CSR
 primitives: segment expansion (`np.repeat` gathers instead of
-per-vertex slicing), lexsorted CSR construction, the forward edge
+per-vertex slicing), the out-part histogram that meters a neighbour
+broadcast without expanding it, lexsorted CSR construction, the forward edge
 orientation behind the O(m^1.5) subgraph algorithms, the triangle and
 k-clique censuses built on it, the segmented mode behind every bulk
 LPA, and chunked random draws.  This module is their single home; the
@@ -32,6 +33,8 @@ from repro.core.graph import Graph
 
 __all__ = [
     "expand_segments",
+    "out_part_histogram",
+    "broadcast_pair_counts",
     "lexsorted_csr",
     "segmented_mode",
     "vertex_order_positions",
@@ -149,12 +152,46 @@ def expand_segments(
     total = int(counts.sum())
     if total == 0:
         return _EMPTY.copy(), _EMPTY.copy(), counts
-    starts = np.repeat(np.asarray(indptr, dtype=np.int64)[ids], counts)
-    ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    slots = starts + offsets
+    # Slot k of the output lies in segment i at offset k - begin_i, so
+    # its CSR slot is k + (indptr[ids[i]] - begin_i): one repeat of a
+    # per-segment shift.
+    begins = np.cumsum(counts) - counts
+    shift = np.asarray(indptr, dtype=np.int64)[ids] - begins
+    slots = np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
     owner_pos = np.repeat(np.arange(ids.shape[0], dtype=np.int64), counts)
     return slots, owner_pos, counts
+
+
+def out_part_histogram(
+    indptr: np.ndarray, indices: np.ndarray, owner: np.ndarray, parts: int
+) -> np.ndarray:
+    """``H[v, q]``: how many of ``v``'s CSR slots hold a neighbour that
+    ``owner`` places on part ``q``, as an ``(n, parts)`` int64 array.
+
+    One pass over every slot; :func:`broadcast_pair_counts` then meters
+    any neighbour broadcast without touching its edges.
+    """
+    n = indptr.shape[0] - 1
+    row = np.repeat(np.arange(n, dtype=np.int64) * parts, np.diff(indptr))
+    return np.bincount(
+        row + owner[indices], minlength=n * parts
+    ).reshape(n, parts)
+
+
+def broadcast_pair_counts(
+    hist: np.ndarray, owner: np.ndarray, senders: np.ndarray, parts: int
+) -> np.ndarray:
+    """``(parts, parts)`` int64 message counts when every entry of
+    ``senders`` (repeats count again) sends along all of its CSR slots.
+
+    ``M[p, q] = sum(hist[v, q] for v in senders if owner[v] == p)``:
+    O(senders · parts) work, equal to a ``np.bincount`` of
+    ``owner[src] * parts + owner[dst]`` over the expanded edges.
+    """
+    cells = (owner[senders] * parts)[:, None] + np.arange(parts)
+    return np.bincount(
+        cells.ravel(), weights=hist[senders].ravel(), minlength=parts * parts
+    ).astype(np.int64).reshape(parts, parts)
 
 
 def lexsorted_csr(

@@ -33,8 +33,10 @@ The engine has two interchangeable execution paths:
   ``compute_bulk(frontier, inbox, ctx)`` once per superstep with the
   whole frontier as an int64 array and the inbox pre-aggregated into
   numpy arrays; message routing runs as array ops (``np.repeat`` over
-  CSR blocks, ``np.add.at`` / ``np.bincount`` for combiner semantics
-  and per-part metering) instead of per-tuple dict shuffling.
+  CSR blocks, ``np.add.at`` / ``np.bincount`` for combiner semantics)
+  instead of per-tuple dict shuffling, and each send batch is metered
+  as one part-pair matrix — a neighbour broadcast's from the senders'
+  out-part histogram rather than per edge.
 
 The two paths are guaranteed — and parity-tested — to produce
 **bit-identical results and WorkTraces** (per-superstep ops, message
@@ -59,7 +61,11 @@ from repro.core.graph import Graph
 from repro.core.partition import Partition
 from repro.errors import ConvergenceError, PlatformError
 from repro.obs import get_tracer
-from repro.platforms.kernels import expand_segments
+from repro.platforms.kernels import (
+    broadcast_pair_counts,
+    expand_segments,
+    out_part_histogram,
+)
 from repro.platforms.profile import PlatformProfile
 
 __all__ = [
@@ -340,7 +346,9 @@ class BulkVertexContext:
         self._part = part
         self._parts = parts
         self._default_nbytes = float(default_nbytes)
-        self._batches: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
+        #: ``(senders, fanout, dst_flat, values_flat, nbytes)`` per send;
+        #: ``fanout`` is None when ``senders`` is already one id per edge
+        self._batches: list[tuple] = []
         self._active: list[np.ndarray] = []
         self._extra_ops = np.zeros(parts)
         self._agg_next: dict[str, float] = {}
@@ -372,15 +380,26 @@ class BulkVertexContext:
         *,
         nbytes: float | None = None,
     ) -> None:
-        """Send ``values[i]`` along every out-edge of ``sources[i]``."""
+        """Send ``values[i]`` along every out-edge of ``sources[i]``.
+
+        The batch keeps its senders and their fan-out instead of one
+        source id per edge: the engine meters it from the senders' out-
+        part histogram and expands sources per edge only where the
+        combining route needs them.
+        """
         sources = np.asarray(sources, dtype=np.int64)
         if sources.size == 0:
             return
-        indptr = self.graph.indptr
-        counts = indptr[sources + 1] - indptr[sources]
-        src_flat, dst_flat, _ = self.expand_frontier(sources)
-        values_flat = np.repeat(np.asarray(values), counts)
-        self.send_edges_bulk(src_flat, dst_flat, values_flat, nbytes=nbytes)
+        slot, _, fanout = expand_segments(self.graph.indptr, sources)
+        if slot.size == 0:
+            return
+        self._batches.append((
+            sources,
+            fanout,
+            self.graph.indices[slot],
+            np.repeat(np.asarray(values), fanout),
+            self._default_nbytes if nbytes is None else float(nbytes),
+        ))
 
     def send_edges_bulk(
         self,
@@ -391,13 +410,14 @@ class BulkVertexContext:
         nbytes: float | None = None,
     ) -> None:
         """Send pre-expanded per-edge messages (``values_flat[i]`` from
-        ``src_flat[i]`` to ``dst_flat[i]``)."""
+        ``src_flat[i]`` to ``dst_flat[i]``), metered per edge."""
         src_flat = np.asarray(src_flat, dtype=np.int64)
         if src_flat.size == 0:
             return
         nb = self._default_nbytes if nbytes is None else float(nbytes)
         self._batches.append((
             src_flat,
+            None,
             np.asarray(dst_flat, dtype=np.int64),
             np.asarray(values_flat),
             nb,
@@ -479,6 +499,10 @@ class VertexCentricEngine:
         self.last_path: str | None = None
         self._part = partition.owner
         self._part_sizes = partition.sizes().astype(np.float64)
+        #: out-part histogram of the graph under the partition, built
+        #: by :meth:`_out_part_histogram` once broadcasts make it pay
+        self._out_parts: np.ndarray | None = None
+        self._broadcast_slots = 0
 
     def run(self, program: VertexProgram, *, max_supersteps: int = 100000) -> VertexProgram:
         """Execute ``program`` to quiescence (or its scripted schedule).
@@ -832,8 +856,6 @@ class VertexCentricEngine:
         """Vectorised twin of :meth:`_route`: deliver this superstep's
         send batches with array ops, metering per part pair."""
         rec = self.recorder
-        part = self._part
-        parts = rec.parts
         n = self.graph.num_vertices
 
         step_ops += ctx._extra_ops
@@ -845,20 +867,11 @@ class VertexCentricEngine:
         if combining:
             return self._route_bulk_combining(batches, program, step_ops)
 
-        dst_parts_mat = np.zeros(parts * parts, dtype=np.int64)
         dst_chunks: list[np.ndarray] = []
         value_chunks: list[np.ndarray] = []
-        for src_flat, dst_flat, values_flat, nbytes in batches:
-            pair = part[src_flat] * parts + part[dst_flat]
-            pair_counts = np.bincount(pair, minlength=parts * parts)
-            dst_parts_mat += pair_counts
-            for flat_idx in np.nonzero(pair_counts)[0]:
-                rec.add_message(
-                    int(flat_idx) // parts,
-                    int(flat_idx) % parts,
-                    nbytes,
-                    count=int(pair_counts[flat_idx]),
-                )
+        for senders, fanout, dst_flat, values_flat, nbytes in batches:
+            counts = self._pair_counts(senders, fanout, dst_flat)
+            rec.add_message_counts(counts, nbytes * counts)
             dst_chunks.append(dst_flat)
             value_chunks.append(values_flat)
 
@@ -873,9 +886,55 @@ class VertexCentricEngine:
         counts_vec = np.bincount(dst_all, minlength=n).astype(np.int64)
         return BulkInbox(n, dst=dst_all, values=values_all, counts=counts_vec)
 
+    def _pair_counts(
+        self,
+        senders: np.ndarray,
+        fanout: np.ndarray | None,
+        dst_flat: np.ndarray,
+    ) -> np.ndarray:
+        """``(parts, parts)`` message counts of one send batch.
+
+        A neighbour broadcast (``fanout`` given) sums its senders' rows
+        of the out-part histogram by sender part — O(senders · parts)
+        instead of one part-pair id per edge.  Both forms count the same
+        integers.
+        """
+        part = self._part
+        parts = self.recorder.parts
+        if fanout is None:
+            src_part = part[senders]
+        else:
+            hist = self._out_part_histogram(dst_flat.size)
+            if hist is not None:
+                return broadcast_pair_counts(hist, part, senders, parts)
+            src_part = np.repeat(part[senders], fanout)
+        return np.bincount(
+            src_part * parts + part[dst_flat], minlength=parts * parts
+        ).reshape(parts, parts)
+
+    def _out_part_histogram(self, slots: int) -> np.ndarray | None:
+        """The graph's :func:`~repro.platforms.kernels.out_part_histogram`
+        under this engine's partition, or None while it does not pay.
+
+        Building it costs one pass over every slot of the graph, so it
+        is built only once this engine's broadcasts (``slots`` more now)
+        have expanded as many slots as the graph stores; until then a
+        broadcast is metered per edge.  A run that sends little, such as
+        a warm SSSP window, never pays for it.
+        """
+        if self._out_parts is None:
+            graph = self.graph
+            self._broadcast_slots += slots
+            if self._broadcast_slots < graph.indices.size:
+                return None
+            self._out_parts = out_part_histogram(
+                graph.indptr, graph.indices, self._part, self.recorder.parts
+            )
+        return self._out_parts
+
     def _route_bulk_combining(
         self,
-        batches: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]],
+        batches: list[tuple],
         program: BulkVertexProgram,
         step_ops: np.ndarray,
     ) -> BulkInbox:
@@ -888,7 +947,7 @@ class VertexCentricEngine:
         n = self.graph.num_vertices
         mode = program.bulk_combine
 
-        dtype = np.result_type(*(values.dtype for _, _, values, _ in batches))
+        dtype = np.result_type(*(batch[3].dtype for batch in batches))
         if mode == "sum":
             fill = np.float64(0.0) if dtype.kind == "f" else dtype.type(0)
         else:
@@ -897,8 +956,10 @@ class VertexCentricEngine:
         touched = np.zeros((parts, n), dtype=bool)
         nbytes_max = np.zeros((parts, n))
 
-        for src_flat, dst_flat, values_flat, nbytes in batches:
-            sp = part[src_flat]
+        for senders, fanout, dst_flat, values_flat, nbytes in batches:
+            sp = part[senders]
+            if fanout is not None:
+                sp = np.repeat(sp, fanout)
             # One op per original message: sender-side combine work.
             step_ops += np.bincount(sp, minlength=parts)
             if mode == "sum":
@@ -927,21 +988,17 @@ class VertexCentricEngine:
         else:
             combined = np.full(n, fill, dtype=dtype)
         counts_vec = np.zeros(n, dtype=np.int64)
+        msg_counts = np.zeros((parts, parts), dtype=np.int64)
+        msg_bytes = np.zeros((parts, parts))
         for p in range(parts):
             dsts = np.nonzero(touched[p])[0]
             if dsts.size == 0:
                 continue
             dp = part[dsts]
-            pair_counts = np.bincount(dp, minlength=parts)
-            pair_bytes = np.bincount(
+            msg_counts[p] = np.bincount(dp, minlength=parts)
+            msg_bytes[p] = np.bincount(
                 dp, weights=nbytes_max[p, dsts], minlength=parts
             )
-            for j in np.nonzero(pair_counts)[0]:
-                rec.add_message_block(
-                    p, int(j),
-                    total_bytes=float(pair_bytes[j]),
-                    count=int(pair_counts[j]),
-                )
             # Fold partials in ascending part order (bit-identical to the
             # scalar path's sorted delivery).
             if mode == "sum":
@@ -949,6 +1006,7 @@ class VertexCentricEngine:
             else:
                 combined[dsts] = np.minimum(combined[dsts], partial[p, dsts])
             counts_vec[dsts] += 1
+        rec.add_message_counts(msg_counts, msg_bytes)
         return BulkInbox(n, combined=combined, counts=counts_vec)
 
     # ------------------------------------------------------------------

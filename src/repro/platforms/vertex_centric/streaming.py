@@ -470,14 +470,15 @@ class StreamingSession:
         per_part = np.bincount(part[dst], minlength=self.parts)
         for p in np.nonzero(per_part)[0]:
             recorder.add_compute(int(p), float(per_part[p]))
-            # Border edges arrive from another fragment: meter the bytes
-            # across a part boundary, not as a local hop.
-            recorder.add_message_block(
-                int((p + 1) % self.parts),
-                int(p),
-                self.program.message_bytes * float(per_part[p]),
-                count=int(per_part[p]),
-            )
+        # Border edges arrive from another fragment: meter the bytes
+        # across a part boundary (part p + 1 to part p), not as a local
+        # hop.
+        receivers = np.arange(self.parts)
+        counts = np.zeros((self.parts, self.parts), dtype=np.int64)
+        counts[(receivers + 1) % self.parts, receivers] = per_part
+        recorder.add_message_counts(
+            counts, self.program.message_bytes * counts
+        )
         recorder.end_superstep()
 
     # -- fault tolerance ------------------------------------------------

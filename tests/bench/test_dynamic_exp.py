@@ -52,3 +52,19 @@ class TestCrashReplay:
     def test_crash_window_bounds_checked(self, window):
         with pytest.raises(BenchmarkError):
             crash_replay_case("wcc", crash_window=window, **SMALL)
+
+
+class TestIncEvalGate:
+    """IncEval must pay at the default stream size, four windows deep:
+    at least 3x cheaper than recomputing, summed over the windows, and
+    cheaper in every single window."""
+
+    @pytest.mark.parametrize("algorithm", ["wcc", "pr"])
+    def test_inceval_beats_recompute(self, algorithm):
+        report = run_dynamic_case(algorithm, num_batches=4)
+        assert report.speedup >= 3.0
+        slow = [
+            w.window for w in report.windows[1:]
+            if w.incremental_seconds >= w.recompute_seconds
+        ]
+        assert slow == []

@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
-from repro.core.delta import DeltaCSR, empty_csr_graph
+from repro.core.delta import DeltaCSR, _slot_keys, empty_csr_graph
 from repro.core.graph import Graph
 from repro.datagen.fft import FFTDG, FFTDGConfig
 from repro.errors import GraphFormatError
@@ -139,3 +148,98 @@ class TestRebase:
         cursor.apply_batch(np.array([2]), np.array([3]))
         assert cursor.total_applied == 2
         assert cursor.num_edges == 2
+
+
+N = 9
+pairs = st.lists(
+    st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)), max_size=12
+)
+
+
+class DeltaCSRMachine(RuleBasedStateMachine):
+    """Any interleaving of ``apply_batch`` / ``rebase`` / ``materialize``
+    keeps the overlay equal to ``Graph.from_edges`` over every edge
+    applied so far, starting from an empty, a sorted or an unsorted
+    base."""
+
+    @initialize(base_edges=pairs, base_kind=st.sampled_from(
+        ["none", "sorted", "unsorted"]))
+    def start(self, base_edges, base_kind):
+        self.edges = {
+            (min(u, v), max(u, v)) for u, v in base_edges if u != v
+        }
+        if base_kind == "none":
+            self.edges = set()
+            self.overlay = DeltaCSR(num_vertices=N)
+            self.first_base = self.overlay.base
+            return
+        base = self._reference()
+        if base_kind == "unsorted":
+            # Same graph, every adjacency block reversed.
+            indices = np.concatenate([
+                base.indices[lo:hi][::-1]
+                for lo, hi in zip(base.indptr[:-1], base.indptr[1:])
+            ])
+            base = Graph.from_arrays(base.indptr, indices, directed=False,
+                                     num_edges=base.num_edges)
+        self.overlay = DeltaCSR(base)
+        self.first_base = base
+
+    def _reference(self) -> Graph:
+        edges = sorted(self.edges)
+        return Graph.from_edges(
+            [u for u, _ in edges], [v for _, v in edges],
+            num_vertices=N, directed=False,
+        )
+
+    def _check_graph(self, graph: Graph) -> None:
+        want = self._reference()
+        assert np.array_equal(graph.indptr, want.indptr)
+        assert graph.num_edges == want.num_edges
+        if graph is self.first_base:
+            # Nothing merged yet: the base comes back as given, in its
+            # own adjacency order.
+            assert np.array_equal(_slot_keys(graph), _slot_keys(want))
+        else:
+            assert np.array_equal(graph.indices, want.indices)
+
+    @rule(batch=pairs)
+    def apply_batch(self, batch):
+        new = {
+            (min(u, v), max(u, v)) for u, v in batch if u != v
+        } - self.edges
+        frontier = self.overlay.apply_batch(
+            np.array([u for u, _ in batch], dtype=np.int64),
+            np.array([v for _, v in batch], dtype=np.int64),
+        )
+        assert frontier.dtype == np.int64
+        assert frontier.tolist() == sorted({x for e in new for x in e})
+        a, b = self.overlay.last_applied
+        assert list(zip(a.tolist(), b.tolist())) == sorted(new)
+        self.edges |= new
+
+    @rule()
+    def rebase(self):
+        self._check_graph(self.overlay.rebase())
+        assert self.overlay.delta_edges == 0
+
+    @rule()
+    def materialize(self):
+        self._check_graph(self.overlay.materialize())
+
+    @precondition(lambda self: hasattr(self, "overlay"))
+    @invariant()
+    def views_agree(self):
+        overlay = self.overlay
+        assert overlay.num_edges == len(self.edges)
+        assert np.array_equal(overlay._base_key_array(),
+                              _slot_keys(overlay.base))
+        assert np.array_equal(overlay.degrees(),
+                              np.diff(self._reference().indptr))
+
+
+DeltaCSRMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=12, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestDeltaCSRMachine = DeltaCSRMachine.TestCase

@@ -22,12 +22,14 @@ from repro.core import (
 )
 from repro.platforms.kernels import (
     ChunkedDrawBuffer,
+    broadcast_pair_counts,
     closed_wedge_corners,
     clustering_coefficients,
     expand_segments,
     forward_adjacency,
     forward_edge_arrays,
     lexsorted_csr,
+    out_part_histogram,
     segmented_mode,
     self_loop_counts,
     simple_degrees,
@@ -104,6 +106,71 @@ class TestExpandSegments:
         a, _, _ = expand_segments(self.INDPTR, np.array([]))
         b, _, _ = expand_segments(self.INDPTR, np.array([]))
         assert a is not b
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_matches_per_vertex_slicing(self, data):
+        degrees = data.draw(st.lists(st.integers(0, 6), min_size=1,
+                                     max_size=20))
+        indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+        ids = np.array(
+            data.draw(st.lists(st.integers(0, len(degrees) - 1),
+                               max_size=30)),
+            dtype=np.int64,
+        )
+        slots, owner_pos, counts = expand_segments(indptr, ids)
+        want = [np.arange(indptr[v], indptr[v + 1]) for v in ids]
+        assert np.array_equal(
+            slots, np.concatenate(want) if want else np.empty(0)
+        )
+        assert np.array_equal(
+            owner_pos,
+            np.concatenate([np.full(w.size, i) for i, w in enumerate(want)])
+            if want else np.empty(0),
+        )
+        assert np.array_equal(counts, [w.size for w in want])
+
+
+@st.composite
+def broadcast_inputs(draw):
+    """A random CSR (zero-degree vertices, repeated neighbours and
+    self-slots allowed), a partition of it, and senders with repeats."""
+    n = draw(st.integers(1, 15))
+    parts = draw(st.integers(1, 5))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    slots = int(sum(degrees))
+    indices = draw(st.lists(st.integers(0, n - 1), min_size=slots,
+                            max_size=slots))
+    owner = draw(st.lists(st.integers(0, parts - 1), min_size=n,
+                          max_size=n))
+    senders = draw(st.lists(st.integers(0, n - 1), max_size=25))
+    return (
+        np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(owner, dtype=np.int64),
+        parts,
+        np.array(senders, dtype=np.int64),
+    )
+
+
+class TestBroadcastPairCounts:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(broadcast_inputs())
+    def test_histogram_equals_per_edge_metering(self, case):
+        indptr, indices, owner, parts, senders = case
+        hist = out_part_histogram(indptr, indices, owner, parts)
+        assert hist.dtype == np.int64
+        assert np.array_equal(hist.sum(axis=1), np.diff(indptr))
+        got = broadcast_pair_counts(hist, owner, senders, parts)
+        slots, owner_pos, _ = expand_segments(indptr, senders)
+        want = np.bincount(
+            owner[senders[owner_pos]] * parts + owner[indices[slots]],
+            minlength=parts * parts,
+        ).reshape(parts, parts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestLexsortedCSR:
