@@ -197,6 +197,17 @@ class TraceRecorder:
         self._require_open()
         self._ops[self._check_part(part)] += ops
 
+    def add_compute_counts(self, ops: np.ndarray) -> None:
+        """Charge a ``(parts,)`` vector of compute operations: one
+        addition per part, equal to one :meth:`add_compute` per non-zero
+        part (a zero entry adds ``+0.0``)."""
+        self._require_open()
+        if np.shape(ops) != (self.parts,):
+            raise ClusterConfigError(
+                f"ops vector must be ({self.parts},), got {np.shape(ops)}"
+            )
+        self._ops += ops
+
     def add_message(
         self, src_part: int, dst_part: int, payload_bytes: float, count: int = 1
     ) -> None:
@@ -205,20 +216,6 @@ class TraceRecorder:
         i, j = self._check_part(src_part), self._check_part(dst_part)
         self._count[i, j] += count
         self._bytes[i, j] += payload_bytes * count
-
-    def add_message_block(
-        self, src_part: int, dst_part: int, total_bytes: float, count: int
-    ) -> None:
-        """Charge ``count`` messages totalling ``total_bytes`` overall.
-
-        The bulk-metering twin of :meth:`add_message` for senders whose
-        per-message payloads vary within one part pair: the caller sums
-        the bytes itself and charges them in one call.
-        """
-        self._require_open()
-        i, j = self._check_part(src_part), self._check_part(dst_part)
-        self._count[i, j] += count
-        self._bytes[i, j] += total_bytes
 
     def add_message_counts(
         self, counts: np.ndarray, total_bytes: np.ndarray

@@ -61,8 +61,7 @@ __all__ = [
 #: ``RunMetrics.compute_ops``).
 COMPUTE_OPS = "compute_ops"
 #: Messages charged between parts (``TraceRecorder.add_message`` /
-#: ``add_message_block`` / ``add_message_counts``; surfaces in
-#: ``RunMetrics.messages``).
+#: ``add_message_counts``; surfaces in ``RunMetrics.messages``).
 MSG_COUNT = "msg_count"
 #: Payload bytes of those messages (surfaces in
 #: ``RunMetrics.remote_bytes`` once priced).

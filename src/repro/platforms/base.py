@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from repro.cluster.cost import (
     NUM_PARTS,
     PricedRun,
@@ -45,16 +43,6 @@ __all__ = ["Platform", "PlatformRunResult", "CORE_ALGORITHMS"]
 
 #: The benchmark's eight core algorithms (Section 3), in Table-3 order.
 CORE_ALGORITHMS = ("pr", "lpa", "sssp", "wcc", "bc", "cd", "tc", "kc")
-
-#: The dataset catalog scales vertex counts by 2000 but mean degrees only
-#: by DEFAULT_DEGREE_DIVISOR (6), so quadratic-in-degree message buffers
-#: (TC/KC adjacency shipping) shrink by ~36x more than memory does.  The
-#: memory model multiplies subgraph working sets back up by roughly
-#: degree_divisor**2 (36, nudged to 40 to cover envelope under-counting)
-#: so the paper's OOM pattern reproduces at reduced scale:
-#: GraphX/PowerGraph/Pregel+ cannot start the S9 TC sweep on one machine,
-#: while Flash/Grape/G-thinker can (Table 11's TC rows).
-SUBGRAPH_MEMORY_COMPENSATION = 40.0
 
 
 @dataclass(frozen=True)

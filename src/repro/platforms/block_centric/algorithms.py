@@ -19,10 +19,10 @@ import numpy as np
 from repro.errors import GraphStructureError
 from repro.platforms.block_centric.engine import BlockCentricEngine
 from repro.platforms.kernels import (
-    aggregate_pull_pairs,
     clique_expansion_census,
     clustering_coefficients,
     forward_edge_arrays,
+    message_matrices,
     segmented_mode,
     triangle_census,
 )
@@ -57,7 +57,7 @@ def _census_round(
     bound :func:`~repro.platforms.kernels.clique_expansion_census`; each
     block roots the tasks of its own vertices.  Ops are charged per
     block, and each remote forward list is pulled once per (rooting
-    block, vertex), aggregated into one message block per block pair.
+    block, vertex), metered as one block-pair message matrix.
     Returns the census's first element.
     """
     graph = engine.graph
@@ -69,13 +69,10 @@ def _census_round(
     )
     for b in np.flatnonzero(ops).tolist():
         engine.charge(b, float(ops[b]))
-    src, dst, counts, nbytes = aggregate_pull_pairs(
-        pull_root, pull_vertex, engine.block_of, np.diff(findptr),
-        engine.parts,
-    )
-    for s, d, c, nb in zip(src.tolist(), dst.tolist(),
-                           counts.tolist(), nbytes.tolist()):
-        engine.send_block(s, d, nb, c)
+    engine.send_matrix(*message_matrices(
+        engine.block_of[pull_vertex], pull_root,
+        8.0 * np.diff(findptr)[pull_vertex], engine.parts,
+    ))
     engine.end_round()
     return result
 
@@ -111,8 +108,7 @@ def _block_slot_counts(engine: BlockCentricEngine) -> np.ndarray:
 
 def _send_cut(engine: BlockCentricEngine, cut: np.ndarray, nbytes: float) -> None:
     """Meter one message per cut slot (a full boundary exchange)."""
-    for i, j in zip(*np.nonzero(cut)):
-        engine.send(int(i), int(j), nbytes, count=int(cut[i, j]))
+    engine.send_matrix(cut, nbytes * cut)
 
 
 def pagerank_blocks(
@@ -309,10 +305,8 @@ def bc_blocks(engine: BlockCentricEngine, *, source: int = 0) -> np.ndarray:
     dag_level = depth[dag_dst]
 
     def _send_pairs(from_blocks: np.ndarray, to_blocks: np.ndarray) -> None:
-        pair = from_blocks.astype(np.int64) * parts + to_blocks
-        pair_ids, pair_counts = np.unique(pair, return_counts=True)
-        for p, c in zip(pair_ids.tolist(), pair_counts.tolist()):
-            engine.send(p // parts, p % parts, 16.0, count=int(c))
+        engine.send_matrix(*message_matrices(from_blocks, to_blocks, 16.0,
+                                             parts))
 
     # Phase 2: sigma, one round per level.
     sigma = np.zeros(n, dtype=np.float64)

@@ -56,9 +56,7 @@ class BlockCentricEngine:
 
     def end_round(self) -> None:
         """Seal the round, flushing accumulated per-block ops."""
-        for b in range(self.parts):
-            if self._step_ops[b]:
-                self.recorder.add_compute(b, float(self._step_ops[b]))
+        self.recorder.add_compute_counts(self._step_ops)
         self._step_ops = None
         self.recorder.end_superstep()
         self._round_span.__exit__(None, None, None)
@@ -74,12 +72,9 @@ class BlockCentricEngine:
         """Meter boundary messages between blocks."""
         self.recorder.add_message(src_block, dst_block, nbytes, count=count)
 
-    def send_block(self, src_block: int, dst_block: int, total_bytes: float,
-                   count: int) -> None:
-        """Meter ``count`` boundary messages totalling ``total_bytes``.
-
-        For passes that aggregate variable-size pulls per block pair
-        before metering, where :meth:`send`'s fixed size does not fit.
-        """
-        self.recorder.add_message_block(src_block, dst_block, total_bytes,
-                                        count)
+    def send_matrix(self, counts: np.ndarray, total_bytes: np.ndarray) -> None:
+        """Meter a ``(parts, parts)`` matrix of boundary messages:
+        ``counts[i, j]`` totalling ``total_bytes[i, j]`` from block ``i``
+        to block ``j`` (variable-size pulls, where :meth:`send`'s fixed
+        size does not fit)."""
+        self.recorder.add_message_counts(counts, total_bytes)

@@ -62,6 +62,8 @@ from repro.obs import get_tracer
 from repro.platforms.kernels import (
     expand_segments,
     lexsorted_csr,
+    message_matrices,
+    segment_slots,
     segmented_mode,
 )
 from repro.platforms.profile import PlatformProfile
@@ -485,9 +487,7 @@ class EdgeCentricEngine:
                         if program.scatter(v):
                             activation.append(adj[lo:hi])
 
-                for p in range(parts):
-                    if step_ops[p]:
-                        rec.add_compute(p, float(step_ops[p]))
+                rec.add_compute_counts(step_ops)
                 rec.end_superstep()
                 active = (np.unique(np.concatenate(activation))
                           if activation else _EMPTY)
@@ -575,12 +575,10 @@ class EdgeCentricEngine:
                     )
                     seeds = changed_vs[program.scatter_bulk(changed_vs)]
                     if seeds.size:
-                        aslots, _, _ = expand_segments(indptr, seeds)
+                        aslots, _ = segment_slots(indptr, seeds)
                         activation = np.unique(adj[aslots])
 
-                for p in range(parts):
-                    if step_ops[p]:
-                        rec.add_compute(p, float(step_ops[p]))
+                rec.add_compute_counts(step_ops)
                 rec.end_superstep()
                 active = activation
 
@@ -592,17 +590,10 @@ class EdgeCentricEngine:
     def _emit_messages(
         self, src_parts: np.ndarray, dst_parts: np.ndarray, nbytes: float
     ) -> None:
-        """Meter a batch of messages as per-(src, dst) count blocks."""
-        if not src_parts.size:
-            return
-        parts = self.recorder.parts
-        matrix = np.bincount(
-            src_parts * parts + dst_parts, minlength=parts * parts
-        )
-        for key in np.nonzero(matrix)[0].tolist():
-            self.recorder.add_message(
-                key // parts, key % parts, nbytes, count=int(matrix[key])
-            )
+        """Meter a batch of messages as one part-pair matrix."""
+        self.recorder.add_message_counts(*message_matrices(
+            src_parts, dst_parts, nbytes, self.recorder.parts
+        ))
 
 
 def _reduce_contributions(

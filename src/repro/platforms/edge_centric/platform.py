@@ -15,11 +15,15 @@ import numpy as np
 from repro.cluster.cost import NUM_PARTS, TraceRecorder
 from repro.core.graph import Graph
 from repro.platforms.base import Platform
-from repro.platforms.common import EngineOptions
+from repro.platforms.common import EngineOptions, subgraph_buffer_bytes
 from repro.platforms.kernels import (
     cached_kernel,
+    clique_expansion_levels,
+    closed_wedge_corners,
     clustering_coefficients,
-    forward_adjacency,
+    forward_edge_arrays,
+    message_matrices,
+    simple_degrees,
 )
 from repro.platforms.edge_centric.engine import EdgeCentricEngine, EdgePlacement
 from repro.platforms.edge_centric.programs import (
@@ -34,12 +38,6 @@ from repro.platforms.edge_centric.programs import (
 from repro.platforms.profile import PlatformProfile
 
 __all__ = ["EdgeCentricPlatform"]
-
-
-def _simple_sorted_neighbors(graph: Graph, v: int) -> np.ndarray:
-    """Sorted neighbours of ``v`` with any self-loop slot removed."""
-    neigh = graph.neighbors(v)
-    return np.sort(neigh[neigh != v])
 
 
 class EdgeCentricPlatform(Platform):
@@ -57,20 +55,9 @@ class EdgeCentricPlatform(Platform):
         return ["bfs", "lcc"]
 
     def _working_set_extra_bytes(self, algorithm: str, graph: Graph) -> float:
-        """Adjacency-shipping buffers for TC/KC (vertex-cut replicas
-        hold copies, hence the replication multiplier)."""
-        if algorithm not in ("tc", "kc"):
-            return 0.0
-        from repro.platforms.base import SUBGRAPH_MEMORY_COMPENSATION
-        from repro.platforms.common import adjacency_shipping_bytes
-
-        payload, envelope = adjacency_shipping_bytes(
-            graph, envelope_bytes=self.profile.cost.bytes_per_message_overhead
-        )
-        total = (payload + envelope) * self.profile.replication_factor
-        if algorithm == "kc":
-            total *= 2.0
-        return total * SUBGRAPH_MEMORY_COMPENSATION
+        """TC/KC adjacency-shipping buffers
+        (:func:`~repro.platforms.common.subgraph_buffer_bytes`)."""
+        return subgraph_buffer_bytes(self.profile, algorithm, graph)
 
     def _execute(
         self,
@@ -161,32 +148,15 @@ class EdgeCentricPlatform(Platform):
         Each edge's part needs both endpoints' adjacency lists (shipped
         from the endpoint masters), then intersects them locally —
         "only one edge and its two endpoints are needed" (Section 3.3).
+        Every triangle is found once at each of its three edges.
         """
-        und = graph.to_undirected()
-        # Self-loops are stripped from the shipped lists: u in its own
-        # list would land in every intersection at u, minting phantom
-        # triangles (u, u, w).
-        adjacency = [
-            _simple_sorted_neighbors(und, v) for v in range(und.num_vertices)
-        ]
-        src, dst, _ = und.edge_arrays()
-        rng = np.random.default_rng(29)
-        edge_parts = rng.integers(0, NUM_PARTS, size=src.shape[0])
-        total = 0
         recorder.begin_superstep()
-        for u, v, p in zip(src.tolist(), dst.tolist(), edge_parts.tolist()):
-            if u == v:
-                continue  # a loop edge closes no triangle
-            au, av = adjacency[u], adjacency[v]
-            mu, mv = int(placement.master[u]), int(placement.master[v])
-            if mu != p:
-                recorder.add_message(mu, p, 8.0 * au.size)
-            if mv != p:
-                recorder.add_message(mv, p, 8.0 * av.size)
-            recorder.add_compute(p, float(au.size + av.size))
-            total += int(np.intersect1d(au, av, assume_unique=True).size)
+        _ship_endpoint_lists(graph, recorder, placement.master, seed=29)
         recorder.end_superstep()
-        return total // 3
+        v, _, _ = closed_wedge_corners(
+            *forward_edge_arrays(graph), graph.num_vertices
+        )
+        return int(v.size)
 
     def _local_clustering(
         self, graph: Graph, recorder: TraceRecorder, placement: EdgePlacement
@@ -195,36 +165,32 @@ class EdgeCentricPlatform(Platform):
 
         Each edge's intersection counts the triangles containing it; the
         endpoints and every common neighbour earn one credit, so each
-        vertex collects three credits per incident triangle.
+        vertex collects three credits per incident triangle.  Credits to
+        a common neighbour travel from the edge's part to its master.
         """
-        und = graph.to_undirected()
-        n = und.num_vertices
-        adjacency = [_simple_sorted_neighbors(und, v) for v in range(n)]
-        src, dst, _ = und.edge_arrays()
-        rng = np.random.default_rng(31)
-        edge_parts = rng.integers(0, NUM_PARTS, size=src.shape[0])
-        credits = np.zeros(n, dtype=np.int64)
+        n = graph.num_vertices
+        masters = placement.master
         recorder.begin_superstep()
-        for u, v, p in zip(src.tolist(), dst.tolist(), edge_parts.tolist()):
-            if u == v:
-                continue  # a loop edge closes no triangle
-            au, av = adjacency[u], adjacency[v]
-            mu, mv = int(placement.master[u]), int(placement.master[v])
-            if mu != p:
-                recorder.add_message(mu, p, 8.0 * au.size)
-            if mv != p:
-                recorder.add_message(mv, p, 8.0 * av.size)
-            recorder.add_compute(p, float(au.size + av.size))
-            common = np.intersect1d(au, av, assume_unique=True)
-            if common.size:
-                credits[u] += common.size
-                credits[v] += common.size
-                credits[common] += 1
-                # credits to third corners travel to their masters
-                for w in common.tolist():
-                    recorder.add_message(p, int(placement.master[w]), 8.0)
+        src, dst, edge_parts = _ship_endpoint_lists(
+            graph, recorder, masters, seed=31
+        )
+        v, u, w = closed_wedge_corners(*forward_edge_arrays(graph), n)
+        # Each triangle meets its three edges, each with the opposite
+        # corner as the one common neighbour it credits remotely.
+        a = np.concatenate([v, u, v])
+        b = np.concatenate([u, w, w])
+        third = np.concatenate([w, v, u])
+        edge_keys = src * n + dst
+        order = np.argsort(edge_keys, kind="stable")
+        edge = order[np.searchsorted(
+            edge_keys[order], np.minimum(a, b) * n + np.maximum(a, b)
+        )]
+        recorder.add_message_counts(*message_matrices(
+            edge_parts[edge], masters[third], 8.0, recorder.parts
+        ))
         recorder.end_superstep()
-        return clustering_coefficients(und, credits / 3.0)
+        triangles = np.bincount(np.concatenate([v, u, w]), minlength=n)
+        return clustering_coefficients(graph, triangles)
 
     def _k_clique_count(
         self,
@@ -235,43 +201,65 @@ class EdgeCentricPlatform(Platform):
     ) -> int:
         """Clique expansion with master-to-master routing of partial
         cliques — expressible on PowerGraph but communication-heavy,
-        the paper's "inadequate for more complex subgraphs"."""
-        forward = forward_adjacency(graph)
+        the paper's "inadequate for more complex subgraphs".  Superstep
+        ``L`` expands level ``L`` of
+        :func:`~repro.platforms.kernels.clique_expansion_levels` at the
+        candidates' masters and routes level ``L + 1``.
+        """
+        findptr, fsrc, fdst = forward_edge_arrays(graph)
+        fdeg = np.diff(findptr)
         masters = placement.master
+        parts = recorder.parts
         total = 0
-        frontier: list[tuple[int, int, np.ndarray]] = []  # (owner, size, cands)
         recorder.begin_superstep()
-        for v in range(graph.num_vertices):
-            fv = forward[v]
-            recorder.add_compute(int(masters[v]), float(fv.size))
-            for u in fv.tolist():
-                recorder.add_message(
-                    int(masters[v]), int(masters[u]), 8.0 * (1 + fv.size)
-                )
-                frontier.append((u, 1, fv))
-        recorder.end_superstep()
-
-        while frontier:
-            recorder.begin_superstep()
-            next_frontier: list[tuple[int, int, np.ndarray]] = []
-            for v, size, candidates in frontier:
-                fv = forward[v]
-                recorder.add_compute(
-                    int(masters[v]), float(candidates.size + fv.size)
-                )
-                narrowed = np.intersect1d(candidates, fv, assume_unique=True)
-                new_size = size + 1
-                if new_size == k - 1:
-                    total += int(narrowed.size)
-                    continue
-                if narrowed.size < k - new_size - 1:
-                    continue
-                for w in narrowed.tolist():
-                    recorder.add_message(
-                        int(masters[v]), int(masters[w]),
-                        8.0 * (1 + narrowed.size),
-                    )
-                    next_frontier.append((w, new_size, narrowed))
+        recorder.add_compute_counts(
+            np.bincount(masters, weights=fdeg, minlength=parts)
+        )
+        levels = clique_expansion_levels(
+            findptr, fsrc, fdst, graph.num_vertices, k
+        )
+        for depth, level in enumerate(levels, start=1):
+            recorder.add_message_counts(*message_matrices(
+                masters[level.vertex], masters[level.cand],
+                8.0 * (1 + level.size), parts,
+            ))
             recorder.end_superstep()
-            frontier = next_frontier
+            recorder.begin_superstep()
+            recorder.add_compute_counts(np.bincount(
+                masters[level.cand], weights=level.size + fdeg[level.cand],
+                minlength=parts,
+            ))
+            if depth == k - 2:
+                total = int(level.narrowed.sum())
+        recorder.end_superstep()
         return total
+
+
+def _ship_endpoint_lists(
+    graph: Graph, recorder: TraceRecorder, masters: np.ndarray, *, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Meter TC's and LCC's per-edge work in the open superstep: each
+    logical edge lands on a part drawn from ``default_rng(seed)``, and
+    each non-loop edge ``(u, v)`` pulls both endpoints' simple adjacency
+    lists from remote masters (8 bytes per entry) and costs
+    ``|N(u)| + |N(v)|`` ops there.  Returns the non-loop edges'
+    ``(src, dst, part)``."""
+    und = graph.to_undirected()
+    src, dst, _ = und.edge_arrays()
+    rng = np.random.default_rng(seed)
+    edge_parts = rng.integers(0, recorder.parts, size=src.shape[0])
+    keep = src != dst  # a loop edge closes no triangle
+    src, dst, edge_parts = src[keep], dst[keep], edge_parts[keep]
+    degree = simple_degrees(und)
+    ends = np.concatenate([src, dst])
+    at = np.concatenate([edge_parts, edge_parts])
+    remote = masters[ends] != at
+    recorder.add_message_counts(*message_matrices(
+        masters[ends[remote]], at[remote], 8.0 * degree[ends[remote]],
+        recorder.parts,
+    ))
+    recorder.add_compute_counts(np.bincount(
+        edge_parts, weights=degree[src] + degree[dst],
+        minlength=recorder.parts,
+    ))
+    return src, dst, edge_parts

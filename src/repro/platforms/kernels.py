@@ -25,29 +25,31 @@ Design invariants the bulk paths rely on:
 from __future__ import annotations
 
 import weakref
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.core.graph import Graph
 
 __all__ = [
+    "segment_slots",
     "expand_segments",
     "out_part_histogram",
     "broadcast_pair_counts",
     "lexsorted_csr",
     "segmented_mode",
     "vertex_order_positions",
-    "forward_adjacency",
     "forward_edge_arrays",
     "self_loop_counts",
     "simple_degrees",
     "clustering_coefficients",
     "closed_wedge_corners",
     "unique_pull_pairs",
-    "aggregate_pull_pairs",
     "triangle_census",
+    "CliqueLevel",
+    "clique_expansion_levels",
     "clique_expansion_census",
+    "message_matrices",
     "ChunkedDrawBuffer",
     "cached_kernel",
     "kernel_cache_stats",
@@ -128,20 +130,16 @@ def clear_kernel_cache() -> None:
     _KERNEL_CACHE_MISSES = 0
 
 
-def expand_segments(
+def segment_slots(
     indptr: np.ndarray, ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand the CSR segments of ``ids`` into flat slot arrays.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(slots, counts)``: the flat CSR slot index of every element in
+    every selected segment (segments concatenated in ``ids`` order) and
+    the per-id segment lengths — one `np.repeat`-based gather instead of
+    a per-vertex slicing loop.
 
-    Returns ``(slots, owner_pos, counts)``: the flat CSR slot index of
-    every element in every selected segment (segments concatenated in
-    ``ids`` order), the position *within ``ids``* owning each slot, and
-    the per-id segment lengths.  This is the shared frontier-expansion
-    primitive of the vectorized engine paths — one `np.repeat`-based
-    gather instead of a per-vertex slicing loop.
-
-    All three outputs are int64 in every branch — empty ``ids``,
-    all-empty segments, and mixed inputs included — regardless of the
+    Both outputs are int64 in every branch — empty ``ids``, all-empty
+    segments, and mixed inputs included — regardless of the
     ``indptr``/``ids`` input dtypes, so downstream index arithmetic
     never changes dtype between the empty and non-empty cases.
     """
@@ -151,14 +149,26 @@ def expand_segments(
     )
     total = int(counts.sum())
     if total == 0:
-        return _EMPTY.copy(), _EMPTY.copy(), counts
+        return _EMPTY.copy(), counts
     # Slot k of the output lies in segment i at offset k - begin_i, so
     # its CSR slot is k + (indptr[ids[i]] - begin_i): one repeat of a
     # per-segment shift.
     begins = np.cumsum(counts) - counts
     shift = np.asarray(indptr, dtype=np.int64)[ids] - begins
-    slots = np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
-    owner_pos = np.repeat(np.arange(ids.shape[0], dtype=np.int64), counts)
+    return np.arange(total, dtype=np.int64) + np.repeat(shift, counts), counts
+
+
+def expand_segments(
+    indptr: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`segment_slots` plus ``owner_pos``, the position *within
+    ``ids``* owning each slot: ``(slots, owner_pos, counts)``, all int64.
+
+    ``owner_pos`` is a second repeat over every slot; callers that do
+    not need it call :func:`segment_slots`.
+    """
+    slots, counts = segment_slots(indptr, ids)
+    owner_pos = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     return slots, owner_pos, counts
 
 
@@ -277,38 +287,16 @@ def vertex_order_positions(graph: Graph) -> np.ndarray:
     return position
 
 
-def forward_adjacency(graph: Graph) -> list[np.ndarray]:
-    """Sorted higher-position neighbour arrays, one per vertex.
-
-    Self-loops never appear (a vertex's position is not greater than
-    itself), so triangle/clique passes built on this view are immune to
-    them by construction.  Memoized per graph via :func:`cached_kernel`;
-    callers must treat the returned list as read-only.
-    """
-    return cached_kernel(
-        graph, "forward_adjacency", lambda: _forward_adjacency(graph)
-    )
-
-
-def _forward_adjacency(graph: Graph) -> list[np.ndarray]:
-    und = graph.to_undirected()
-    position = vertex_order_positions(und)
-    forward = []
-    for v in range(und.num_vertices):
-        neigh = und.neighbors(v)
-        forward.append(np.sort(neigh[position[neigh] > position[v]]))
-    return forward
-
-
 def forward_edge_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat CSR view of the forward orientation: ``(indptr, src, dst)``.
 
-    The array-native twin of :func:`forward_adjacency`: the same edge
-    set (each undirected edge once, oriented toward the higher
-    (degree, id) position) as flat ``src``/``dst`` arrays sorted
-    lexicographically, plus the CSR ``indptr`` over ``src`` segments.
-    ``dst`` within each segment is ascending, matching the per-vertex
-    ``np.sort`` of the list-of-arrays form.  Memoized per graph via
+    Each undirected edge appears once, oriented toward the higher
+    (degree, id) position (:func:`vertex_order_positions`), as flat
+    ``src``/``dst`` arrays sorted lexicographically, plus the CSR
+    ``indptr`` over ``src`` segments; ``dst`` is ascending within each
+    segment.  Self-loops never appear (a vertex's position is not
+    greater than its own), so triangle and clique passes built on this
+    view are immune to them by construction.  Memoized per graph via
     :func:`cached_kernel`; callers must treat the returned arrays as
     read-only.
     """
@@ -414,30 +402,6 @@ def unique_pull_pairs(
     return keys // num_vertices, keys % num_vertices, calls
 
 
-def aggregate_pull_pairs(
-    pull_root: np.ndarray,
-    pull_vertex: np.ndarray,
-    owner: np.ndarray,
-    fdeg: np.ndarray,
-    parts: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group unique pulls into per part-pair message blocks.
-
-    Returns aligned ``(src_part, dst_part, count, total_bytes)`` arrays
-    — one row per (owner part -> rooting part) pair, bytes at 8 per
-    shipped adjacency slot — ready for one ``send_block`` /
-    ``add_message_block`` call each.
-    """
-    if pull_root.size == 0:
-        e = _EMPTY.copy()
-        return e, e.copy(), e.copy(), np.empty(0)
-    pair = np.asarray(owner, dtype=np.int64)[pull_vertex] * parts + pull_root
-    pair_ids, pair_pos = np.unique(pair, return_inverse=True)
-    counts = np.bincount(pair_pos).astype(np.int64)
-    nbytes = np.bincount(pair_pos, weights=8.0 * fdeg[pull_vertex])
-    return pair_ids // parts, pair_ids % parts, counts, nbytes
-
-
 def triangle_census(
     findptr: np.ndarray,
     fsrc: np.ndarray,
@@ -474,6 +438,70 @@ def triangle_census(
     return corners, ops, pull_root, pull_vertex, calls
 
 
+class CliqueLevel(NamedTuple):
+    """One level of k-clique expansions as aligned int64 arrays: each
+    row expands candidate ``cand`` of a task rooted at ``root`` whose
+    last member is ``vertex`` and whose ``size`` candidates ``C`` narrow
+    to ``narrowed = |C ∩ forward(cand)|``."""
+
+    root: np.ndarray
+    vertex: np.ndarray
+    cand: np.ndarray
+    size: np.ndarray
+    narrowed: np.ndarray
+
+
+def clique_expansion_levels(
+    findptr: np.ndarray,
+    fsrc: np.ndarray,
+    fdst: np.ndarray,
+    num_vertices: int,
+    k: int,
+) -> Iterator[CliqueLevel]:
+    """Level-synchronous k-clique expansion over the forward CSR.
+
+    Every vertex roots a level-1 task whose candidates are its forward
+    list.  Level ``L`` expands every candidate of every level-``L``
+    task; an expansion whose narrowed set can still complete a clique
+    becomes a level-``L + 1`` task (last member ``cand``), and the
+    narrowed counts of level ``k - 2`` sum to the clique count.
+    Membership is a binary search of the sorted flat edge keys.
+
+    Yields levels ``1 .. k - 2``, stopping at the first without
+    expansions.  The expansion *set* equals a per-root depth-first
+    search's; only traversal order differs.
+    """
+    n = num_vertices
+    if fsrc.size == 0:
+        return
+    edge_keys = fsrc * n + fdst
+    cand = fdst
+    node_indptr = findptr
+    node_vertex = node_root = np.arange(n, dtype=np.int64)
+    for level in range(1, k - 1):
+        if cand.size == 0:
+            return
+        counts = np.diff(node_indptr)
+        parent = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        # Narrow each expansion against its parent's candidate segment.
+        slots, child_pos, _ = expand_segments(node_indptr, parent)
+        w = cand[slots]
+        keys = cand[child_pos] * n + w
+        hit = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+        member = edge_keys[hit] == keys
+        narrowed = np.bincount(child_pos[member], minlength=cand.size)
+        root = node_root[parent]
+        yield CliqueLevel(root, node_vertex[parent], cand, counts[parent],
+                          narrowed)
+        if level == k - 2:
+            return
+        keep = narrowed >= k - level - 2
+        node_indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
+        np.cumsum(narrowed[keep], out=node_indptr[1:])
+        node_vertex, node_root = cand[keep], root[keep]
+        cand = w[member & keep[child_pos]]
+
+
 def clique_expansion_census(
     findptr: np.ndarray,
     fsrc: np.ndarray,
@@ -483,83 +511,56 @@ def clique_expansion_census(
     owner: np.ndarray,
     parts: int,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Level-synchronous k-clique expansion over the forward CSR.
+    """The block- and subgraph-centric engines' KC: the
+    :func:`clique_expansion_levels` folded with every task at its
+    root's part.
 
-    The block- and subgraph-centric engines' KC: every vertex spawns a
-    level-1 task whose candidate set is its forward list; expanding
+    Spawning root ``v`` costs ``max(1, fdeg(v))`` ops; expanding
     candidate ``u`` of a task with candidates ``C`` costs
-    ``|C| + fdeg(u)`` ops at the task's rooting part and narrows ``C``
-    to ``C ∩ forward(u)`` (sorted-key membership over the flat edge
-    list); tasks survive when the narrowed set can still complete a
-    clique, and level ``k - 1`` counts its candidates.  The expansion
-    *set* equals a per-root depth-first search's, so per-part totals do
-    too — only traversal order differs, which the one-round trace
-    cannot see.
-
-    Returns ``(total, ops, pull_root, pull_vertex, remote_calls)``:
-    the clique count, per-part float64 ops (root spawn charges of
-    ``max(1, fdeg)`` included), the unique remote pull pairs (see
-    :func:`unique_pull_pairs`), and the total remote request count.
+    ``|C| + fdeg(u)`` ops and requests ``u``'s forward list.  Returns
+    ``(total, ops, pull_root, pull_vertex, remote_calls)`` — the clique
+    count, per-part float64 ops, and :func:`unique_pull_pairs` over
+    every expansion.
     """
-    n = num_vertices
     owner = np.asarray(owner, dtype=np.int64)
-    ops = np.zeros(parts)
-    if n == 0:
-        return 0, ops, _EMPTY.copy(), _EMPTY.copy(), 0
-    fdeg = np.diff(findptr).astype(np.int64)
-    ops += np.bincount(
+    fdeg = np.diff(findptr)
+    ops = np.bincount(
         owner, weights=np.maximum(fdeg, 1).astype(np.float64), minlength=parts
     )
-    edge_keys = fsrc * n + fdst
-
-    # Level-1 tasks: one per vertex, candidates = its forward segment.
-    cand = fdst
-    node_indptr = findptr
-    root = owner
-    pull_chunks: list[np.ndarray] = []
-    remote_calls = 0
-    size = 1
-    while size < k - 1 and cand.size:
-        counts = np.diff(node_indptr)
-        parent = np.repeat(
-            np.arange(node_indptr.shape[0] - 1, dtype=np.int64), counts
-        )
-        u = cand
-        rb = root[parent]
+    total = 0
+    roots, cands = [_EMPTY], [_EMPTY]
+    levels = clique_expansion_levels(findptr, fsrc, fdst, num_vertices, k)
+    for depth, level in enumerate(levels, start=1):
+        rb = owner[level.root]
         ops += np.bincount(
-            rb, weights=(counts[parent] + fdeg[u]).astype(np.float64),
+            rb, weights=(level.size + fdeg[level.cand]).astype(np.float64),
             minlength=parts,
         )
-        remote = owner[u] != rb
-        remote_calls += int(np.count_nonzero(remote))
-        if remote.any():
-            pull_chunks.append(rb[remote] * n + u[remote])
+        roots.append(rb)
+        cands.append(level.cand)
+        if depth == k - 2:
+            total = int(level.narrowed.sum())
+    pulls = unique_pull_pairs(
+        np.concatenate(roots), np.concatenate(cands), owner, num_vertices
+    )
+    return (total, ops, *pulls)
 
-        # Narrow each child against its parent's candidate segment.
-        slots, child_pos, _ = expand_segments(node_indptr, parent)
-        w = cand[slots]
-        keys = u[child_pos] * n + w
-        hit = np.searchsorted(edge_keys, keys)
-        hit = np.minimum(hit, edge_keys.size - 1)
-        member = edge_keys[hit] == keys
-        child_counts = np.bincount(
-            child_pos[member], minlength=u.shape[0]
-        ).astype(np.int64)
-        keep = child_counts >= k - size - 2
-        cand = w[member & keep[child_pos]]
-        new_counts = child_counts[keep]
-        node_indptr = np.zeros(new_counts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=node_indptr[1:])
-        root = rb[keep]
-        size += 1
 
-    total = int(cand.size) if size == k - 1 else 0
-    if pull_chunks:
-        uniq = np.unique(np.concatenate(pull_chunks))
-        pull_root, pull_vertex = uniq // n, uniq % n
+def message_matrices(
+    src_parts: np.ndarray, dst_parts: np.ndarray, nbytes, parts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, total_bytes)`` ``(parts, parts)`` matrices of a batch
+    of messages for ``TraceRecorder.add_message_counts``; ``nbytes`` is
+    one payload or one per message.  Payloads are whole numbers of
+    bytes, so the sums equal one ``add_message`` per message exactly."""
+    pair = np.asarray(src_parts, dtype=np.int64) * parts + dst_parts
+    counts = np.bincount(pair, minlength=parts * parts)
+    if np.ndim(nbytes):
+        total = np.bincount(pair, weights=nbytes, minlength=parts * parts)
     else:
-        pull_root, pull_vertex = _EMPTY.copy(), _EMPTY.copy()
-    return total, ops, pull_root, pull_vertex, remote_calls
+        total = float(nbytes) * counts
+    return (counts.reshape(parts, parts),
+            np.asarray(total, dtype=np.float64).reshape(parts, parts))
 
 
 class ChunkedDrawBuffer:

@@ -12,7 +12,7 @@ G-thinker).
 Each algorithm is one scheduling wave of tasks, run as a census over
 the flat forward-edge CSR (:mod:`repro.platforms.kernels`): per-worker
 op charges are bincounted, and the wave's unique remote pulls are
-aggregated into one message block per worker pair.  Every charged
+metered as one worker-pair message matrix.  Every charged
 quantity is integer-valued, so float64 aggregation order cannot change
 the per-wave totals.
 """
@@ -30,10 +30,10 @@ from repro.core.partition import hash_partition
 from repro.errors import GraphStructureError
 from repro.obs import CACHE_HITS, CACHE_MISSES, get_tracer
 from repro.platforms.kernels import (
-    aggregate_pull_pairs,
     clique_expansion_census,
     clustering_coefficients,
     forward_edge_arrays,
+    message_matrices,
     triangle_census,
 )
 
@@ -96,20 +96,16 @@ class SubgraphCentricEngine:
                 findptr, fsrc, fdst, graph.num_vertices,
                 owner=self.owner, parts=self.parts,
             )
-            src, dst, counts, nbytes = aggregate_pull_pairs(
-                pull_root, pull_vertex, self.owner, np.diff(findptr),
-                self.parts,
-            )
-            for s, d, c, nb in zip(src.tolist(), dst.tolist(),
-                                   counts.tolist(), nbytes.tolist()):
-                self.recorder.add_message_block(s, d, nb, c)
+            self.recorder.add_message_counts(*message_matrices(
+                self.owner[pull_vertex], pull_root,
+                8.0 * np.diff(findptr)[pull_vertex], self.parts,
+            ))
             if self._tracer.enabled and calls:
                 misses = int(pull_root.shape[0])
                 self._tracer.add(CACHE_MISSES, float(misses))
                 if calls > misses:
                     self._tracer.add(CACHE_HITS, float(calls - misses))
-            for p in np.flatnonzero(ops).tolist():
-                self.recorder.add_compute(p, float(ops[p]))
+            self.recorder.add_compute_counts(ops)
             self.recorder.end_superstep()
         self._wave_index += 1
         return result

@@ -27,7 +27,7 @@ The engine has two interchangeable execution paths:
 
 * the **scalar path** calls ``compute(v, messages, ctx)`` once per
   active vertex with Python-level inbox lists — fully general, and the
-  fallback for programs with irregular message protocols (BC, TC, KC,
+  fallback for programs with irregular message protocols (BC,
   pointer-jumping WCC);
 * the **bulk-frontier path** (Ligra-style) calls
   ``compute_bulk(frontier, inbox, ctx)`` once per superstep with the
@@ -38,16 +38,17 @@ The engine has two interchangeable execution paths:
   as one part-pair matrix — a neighbour broadcast's from the senders'
   out-part histogram rather than per edge.
 
-The two paths are guaranteed — and parity-tested — to produce
-**bit-identical results and WorkTraces** (per-superstep ops, message
-counts, and message bytes).  Every metered quantity is a sum of exactly
-representable floats (multiples of 0.5 and the per-program
-``message_bytes``), so vectorised re-association cannot change the
-totals; float-valued *algorithm* state (PageRank ranks, SSSP distances)
-is kept bit-identical by performing reductions in the scalar path's
-delivery order (``np.add.at``/``np.cumsum`` accumulate strictly
-left-to-right, and combined per-part partials are folded in ascending
-part order on both paths).
+Bulk-only programs (TC, KC, LCC: no ``compute``) run on the bulk path
+whatever the mode.  For the rest, the two paths are guaranteed — and
+parity-tested — to produce **bit-identical results and WorkTraces**
+(per-superstep ops, message counts, and message bytes).  Every metered
+quantity is a sum of exactly representable floats (multiples of 0.5
+and whole-byte payloads), so vectorised re-association cannot change
+the totals; float-valued *algorithm* state (PageRank ranks, SSSP
+distances) is kept bit-identical by performing reductions in the
+scalar path's delivery order (``np.add.at``/``np.cumsum`` accumulate
+strictly left-to-right, and combined per-part partials are folded in
+ascending part order on both paths).
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ from repro.errors import ConvergenceError, PlatformError
 from repro.obs import get_tracer
 from repro.platforms.kernels import (
     broadcast_pair_counts,
-    expand_segments,
+    message_matrices,
     out_part_histogram,
+    segment_slots,
 )
 from repro.platforms.profile import PlatformProfile
 
@@ -132,9 +134,9 @@ class BulkVertexProgram(VertexProgram):
     :meth:`compute_bulk` receives the active frontier as a sorted int64
     array, a :class:`BulkInbox` of aggregated message values, and a
     :class:`BulkVertexContext` for array-level sends.  It must implement
-    *exactly* the same per-vertex logic as :meth:`compute`; the engine's
-    parity tests enforce bit-identical results and WorkTraces between
-    the two paths.
+    *exactly* the same per-vertex logic as :meth:`compute`, if the
+    program has one (the parity tests enforce bit-identical results and
+    WorkTraces); a program without it runs on the bulk path only.
 
     Class attributes
     ----------------
@@ -316,7 +318,8 @@ class BulkInbox:
         return acc
 
     def raw(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``(dst, values)`` arrays in delivery order (raw mode)."""
+        """Flat ``(dst, values)`` arrays in delivery order (raw mode);
+        two empty int64 arrays when nothing was delivered."""
         if self._combined is not None:
             raise PlatformError(
                 "raw per-message values are unavailable once the "
@@ -324,7 +327,7 @@ class BulkInbox:
             )
         if self._dst is None:
             e = np.empty(0, dtype=np.int64)
-            return e, np.empty(0)
+            return e, e.copy()
         return self._dst, self._values
 
 
@@ -367,7 +370,7 @@ class BulkVertexContext:
         matching the scalar path's per-vertex send order.
         """
         sources = np.asarray(sources, dtype=np.int64)
-        slot, _, counts = expand_segments(self.graph.indptr, sources)
+        slot, counts = segment_slots(self.graph.indptr, sources)
         if slot.size == 0:
             e = np.empty(0, dtype=np.int64)
             return e, e.copy(), e.copy()
@@ -390,7 +393,7 @@ class BulkVertexContext:
         sources = np.asarray(sources, dtype=np.int64)
         if sources.size == 0:
             return
-        slot, _, fanout = expand_segments(self.graph.indptr, sources)
+        slot, fanout = segment_slots(self.graph.indptr, sources)
         if slot.size == 0:
             return
         self._batches.append((
@@ -407,20 +410,20 @@ class BulkVertexContext:
         dst_flat: np.ndarray,
         values_flat: np.ndarray,
         *,
-        nbytes: float | None = None,
+        nbytes: float | np.ndarray | None = None,
     ) -> None:
         """Send pre-expanded per-edge messages (``values_flat[i]`` from
-        ``src_flat[i]`` to ``dst_flat[i]``), metered per edge."""
+        ``src_flat[i]`` to ``dst_flat[i]``), metered per edge; ``nbytes``
+        is one payload for all or an array of one per message."""
         src_flat = np.asarray(src_flat, dtype=np.int64)
         if src_flat.size == 0:
             return
-        nb = self._default_nbytes if nbytes is None else float(nbytes)
         self._batches.append((
             src_flat,
             None,
             np.asarray(dst_flat, dtype=np.int64),
             np.asarray(values_flat),
-            nb,
+            self._default_nbytes if nbytes is None else nbytes,
         ))
 
     # -- scheduling -----------------------------------------------------
@@ -475,7 +478,7 @@ class VertexCentricEngine:
     vectorized bulk-frontier path whenever the program implements it,
     ``"bulk"`` forces it (raising :class:`~repro.errors.PlatformError`
     for scalar-only programs), and ``"scalar"`` forces the per-vertex
-    path.
+    path for programs that have one (bulk-only programs ignore it).
     """
 
     def __init__(
@@ -520,7 +523,8 @@ class VertexCentricEngine:
                 or program.bulk_master_hook
             )
         )
-        if self.mode == "scalar":
+        bulk_only = type(program).compute is VertexProgram.compute
+        if self.mode == "scalar" and not bulk_only:
             use_bulk = False
         elif self.mode == "bulk":
             if not bulk_capable:
@@ -870,8 +874,9 @@ class VertexCentricEngine:
         dst_chunks: list[np.ndarray] = []
         value_chunks: list[np.ndarray] = []
         for senders, fanout, dst_flat, values_flat, nbytes in batches:
-            counts = self._pair_counts(senders, fanout, dst_flat)
-            rec.add_message_counts(counts, nbytes * counts)
+            rec.add_message_counts(
+                *self._message_matrices(senders, fanout, dst_flat, nbytes)
+            )
             dst_chunks.append(dst_flat)
             value_chunks.append(values_flat)
 
@@ -886,31 +891,30 @@ class VertexCentricEngine:
         counts_vec = np.bincount(dst_all, minlength=n).astype(np.int64)
         return BulkInbox(n, dst=dst_all, values=values_all, counts=counts_vec)
 
-    def _pair_counts(
+    def _message_matrices(
         self,
         senders: np.ndarray,
         fanout: np.ndarray | None,
         dst_flat: np.ndarray,
-    ) -> np.ndarray:
-        """``(parts, parts)`` message counts of one send batch.
+        nbytes: float | np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, total_bytes)`` part-pair matrices of one send batch.
 
         A neighbour broadcast (``fanout`` given) sums its senders' rows
         of the out-part histogram by sender part — O(senders · parts)
-        instead of one part-pair id per edge.  Both forms count the same
-        integers.
+        instead of one part-pair id per edge; any other batch is counted
+        per message.  Both forms count the same integers.
         """
         part = self._part
         parts = self.recorder.parts
-        if fanout is None:
-            src_part = part[senders]
-        else:
+        src_part = part[senders]
+        if fanout is not None:
             hist = self._out_part_histogram(dst_flat.size)
             if hist is not None:
-                return broadcast_pair_counts(hist, part, senders, parts)
-            src_part = np.repeat(part[senders], fanout)
-        return np.bincount(
-            src_part * parts + part[dst_flat], minlength=parts * parts
-        ).reshape(parts, parts)
+                counts = broadcast_pair_counts(hist, part, senders, parts)
+                return counts, nbytes * counts
+            src_part = np.repeat(src_part, fanout)
+        return message_matrices(src_part, part[dst_flat], nbytes, parts)
 
     def _out_part_histogram(self, slots: int) -> np.ndarray | None:
         """The graph's :func:`~repro.platforms.kernels.out_part_histogram`
@@ -977,11 +981,13 @@ class VertexCentricEngine:
             else:
                 np.minimum.at(partial, (sp, dst_flat), values_flat)
             touched[sp, dst_flat] = True
-            # Per-batch nbytes is a scalar, so a gather/max/scatter is
-            # equivalent to np.maximum.at (duplicates all write the
-            # same value) and much cheaper.
-            cur = np.maximum(nbytes_max[sp, dst_flat], nbytes)
-            nbytes_max[sp, dst_flat] = cur
+            if np.ndim(nbytes):
+                np.maximum.at(nbytes_max, (sp, dst_flat), nbytes)
+            else:
+                # With one nbytes, gather/max/scatter equals (and beats)
+                # np.maximum.at: duplicates all write the same value.
+                cur = np.maximum(nbytes_max[sp, dst_flat], nbytes)
+                nbytes_max[sp, dst_flat] = cur
 
         if mode == "sum":
             combined = np.zeros(n, dtype=dtype)
@@ -1018,9 +1024,7 @@ class VertexCentricEngine:
     ) -> None:
         rec = self.recorder
         parts = rec.parts
-        for p in range(parts):
-            if step_ops[p]:
-                rec.add_compute(p, float(step_ops[p]))
+        rec.add_compute_counts(step_ops)
         if agg_next:
             # Aggregation: every part reports to a master and the
             # result is broadcast back.

@@ -12,8 +12,14 @@ import numpy as np
 
 from repro.core.graph import Graph
 from repro.errors import GraphStructureError
-from repro.platforms.kernels import forward_adjacency, simple_degrees
-from repro.platforms.vertex_centric.engine import VertexContext, VertexProgram
+from repro.platforms.kernels import simple_degrees
+from repro.platforms.vertex_centric.engine import (
+    BulkInbox,
+    BulkVertexContext,
+    VertexContext,
+    VertexProgram,
+)
+from repro.platforms.vertex_centric.programs import TriangleCountProgram
 
 __all__ = ["BFSProgram", "LCCProgram"]
 
@@ -51,58 +57,63 @@ class BFSProgram(VertexProgram):
         ctx.send_to_neighbors(v, self.levels[v] + 1)
 
 
-class LCCProgram(VertexProgram):
+class LCCProgram(TriangleCountProgram):
     """Local clustering coefficient via adjacency-list exchange.
 
-    Superstep 0 ships forward adjacency lists along forward edges
-    (as in TC); superstep 1 intersects and *credits every triangle
-    corner* — the endpoint pair locally, the third vertex by message;
-    superstep 2 folds late credits and normalizes by the wedge count.
+    Superstep 0 ships forward adjacency lists as TC does, each with its
+    sender's id; superstep 1 intersects and *credits every triangle
+    corner* — the receiver locally, the sender by one message per closed
+    forward edge, the third vertex by one per triangle; superstep 2
+    folds the late credits and normalizes by the wedge count.
     """
 
+    header_entries = 1
+
     def __init__(self) -> None:
+        super().__init__()
         self.lcc: np.ndarray | None = None
         self._triangles: np.ndarray | None = None
-        self._forward: list[np.ndarray] | None = None
         self._simple_degree: np.ndarray | None = None
 
     def setup(self, graph: Graph) -> None:
+        super().setup(graph)
         n = graph.num_vertices
         self.lcc = np.zeros(n, dtype=np.float64)
         self._triangles = np.zeros(n, dtype=np.int64)
-        self._forward = forward_adjacency(graph)
         # Wedge denominators over the simple graph: self-loop slots
         # contribute no wedge.
         self._simple_degree = simple_degrees(graph)
 
-    def compute(self, v: int, messages, ctx: VertexContext) -> None:
-        fv = self._forward[v]
+    def compute_bulk(
+        self, frontier: np.ndarray, inbox: BulkInbox, ctx: BulkVertexContext
+    ) -> None:
+        n = ctx.graph.num_vertices
         if ctx.superstep == 0:
-            ctx.charge(v, float(ctx.graph.degree(v)))
-            if fv.size:
-                nbytes = 8.0 * (1 + fv.size)
-                for u in fv.tolist():
-                    ctx.send(v, u, ("adj", v, fv), nbytes=nbytes)
-            ctx.activate(v)  # everyone normalizes at the end
+            super().compute_bulk(frontier, inbox, ctx)
+            ctx.activate_bulk(frontier)  # everyone normalizes at the end
             return
-        credits = 0
-        for message in messages:
-            if message[0] == "adj":
-                _, sender, their_forward = message
-                common = np.intersect1d(their_forward, fv,
-                                        assume_unique=True)
-                ctx.charge(v, float(their_forward.size + fv.size))
-                if common.size:
-                    credits += common.size
-                    ctx.send(v, sender, ("credit", int(common.size), None))
-                    for w in common.tolist():
-                        ctx.send(v, w, ("credit", 1, None))
-            else:
-                credits += message[1]
-        self._triangles[v] += credits
         if ctx.superstep == 1:
-            ctx.activate(v)
+            v, u, w = self._intersect(inbox, ctx)
+            self._triangles += np.bincount(u, minlength=n)
+            # Closed wedges come grouped by forward edge (v, u): one
+            # credit of the edge's triangle count back to v, and one
+            # credit per triangle on to w.
+            first = np.flatnonzero(np.diff(v * n + u, prepend=-1))
+            per_edge = np.diff(np.append(first, v.size))
+            ctx.send_edges_bulk(
+                np.concatenate([u[first], u]),
+                np.concatenate([v[first], w]),
+                np.concatenate([per_edge, np.ones(v.size, dtype=np.int64)]),
+            )
+            ctx.activate_bulk(frontier)
             return
-        degree = float(self._simple_degree[v])
+        dst, credits = inbox.raw()
+        self._triangles += np.bincount(
+            dst, weights=credits, minlength=n
+        ).astype(np.int64)
+        degree = self._simple_degree[frontier]
         wedges = degree * (degree - 1.0)
-        self.lcc[v] = 2.0 * self._triangles[v] / wedges if wedges else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.lcc[frontier] = np.where(
+                wedges != 0, 2.0 * self._triangles[frontier] / wedges, 0.0
+            )

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.cluster.cost import NUM_PARTS, TraceRecorder
 from repro.core.graph import Graph
 from repro.core.partition import hash_partition
 from repro.platforms.base import Platform
-from repro.platforms.common import EngineOptions
+from repro.platforms.common import EngineOptions, subgraph_buffer_bytes
 from repro.platforms.profile import PlatformProfile
 from repro.platforms.vertex_centric.engine import VertexCentricEngine
 from repro.platforms.vertex_centric.programs import (
@@ -65,26 +63,9 @@ class VertexCentricPlatform(Platform):
         return ["bfs", "lcc"]
 
     def _working_set_extra_bytes(self, algorithm: str, graph: Graph) -> float:
-        """Message buffers of the subgraph algorithms (adjacency shipping).
-
-        Platforms with vertex subsets (Flash, Ligra) stream frontiers and
-        only buffer a quarter of the volume at once; full-materialization
-        runtimes (GraphX RDDs, Pregel+ message stores) hold it all.
-        """
-        if algorithm not in ("tc", "kc"):
-            return 0.0
-        from repro.platforms.base import SUBGRAPH_MEMORY_COMPENSATION
-        from repro.platforms.common import adjacency_shipping_bytes
-
-        payload, envelope = adjacency_shipping_bytes(
-            graph, envelope_bytes=self.profile.cost.bytes_per_message_overhead
-        )
-        total = (payload + envelope) * self.profile.replication_factor
-        if algorithm == "kc":
-            total *= 2.0  # expansion frontiers dominate one extra level
-        if self.profile.vertex_subset:
-            total *= 0.25
-        return total * SUBGRAPH_MEMORY_COMPENSATION
+        """TC/KC adjacency-shipping buffers
+        (:func:`~repro.platforms.common.subgraph_buffer_bytes`)."""
+        return subgraph_buffer_bytes(self.profile, algorithm, graph)
 
     def _execute(
         self,

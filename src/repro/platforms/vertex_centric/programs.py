@@ -16,11 +16,19 @@ penalty the paper describes.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.core.graph import Graph
 from repro.errors import GraphStructureError
-from repro.platforms.kernels import forward_adjacency, segmented_mode
+from repro.platforms.kernels import (
+    CliqueLevel,
+    clique_expansion_levels,
+    closed_wedge_corners,
+    forward_edge_arrays,
+    segmented_mode,
+)
 from repro.platforms.vertex_centric.engine import (
     BulkInbox,
     BulkVertexContext,
@@ -487,47 +495,59 @@ class CoreDecompositionProgram(BulkVertexProgram):
         ctx.send_to_neighbors_bulk(newly, np.ones(newly.size, dtype=np.int64))
 
 
-class TriangleCountProgram(VertexProgram):
+class TriangleCountProgram(BulkVertexProgram):
     """Vertex-centric TC: ship forward adjacency lists, intersect.
 
     Superstep 0 sends each vertex's forward neighbour list to each of its
     forward neighbours (the communication blow-up the paper attributes to
-    subgraph algorithms on vertex-centric platforms); superstep 1
-    intersects.
+    subgraph algorithms on vertex-centric platforms), one message per
+    forward edge ``(v, u)`` holding the edge's index; superstep 1
+    intersects, ``fdeg(v) + fdeg(u)`` ops at ``u``.
     """
+
+    #: payload entries shipped beside each forward list
+    header_entries = 0
 
     def __init__(self) -> None:
         self.total = 0
-        self._forward: list[np.ndarray] | None = None
+        self._forward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def setup(self, graph: Graph) -> None:
         self.total = 0
-        self._forward = forward_adjacency(graph)
+        self._forward = forward_edge_arrays(graph)
 
-    def compute(self, v: int, messages, ctx: VertexContext) -> None:
-        fv = self._forward[v]
-        if ctx.superstep == 0:
-            ctx.charge(v, float(ctx.graph.degree(v)))
-            if fv.size:
-                payload_bytes = 8.0 * fv.size
-                for u in fv.tolist():
-                    ctx.send(v, u, fv, nbytes=payload_bytes)
+    def compute_bulk(
+        self, frontier: np.ndarray, inbox: BulkInbox, ctx: BulkVertexContext
+    ) -> None:
+        if ctx.superstep > 0:
+            self.total = int(self._intersect(inbox, ctx)[0].size)
             return
-        for arr in messages:
-            ctx.charge(v, float(arr.size + fv.size))
-            self.total += int(
-                np.intersect1d(arr, fv, assume_unique=True).size
-            )
+        findptr, fsrc, fdst = self._forward
+        ctx.charge_bulk(frontier, ctx.graph.out_degrees()[frontier])
+        ctx.send_edges_bulk(
+            fsrc, fdst, np.arange(fsrc.size),
+            nbytes=8.0 * (self.header_entries + np.diff(findptr)[fsrc]),
+        )
+
+    def _intersect(self, inbox: BulkInbox, ctx: BulkVertexContext) -> tuple:
+        """Charge every delivered list's intersection at its receiver;
+        returns the closed forward wedges ``(v, u, w)``."""
+        findptr, fsrc, fdst = self._forward
+        fdeg = np.diff(findptr)
+        _, edges = inbox.raw()
+        ctx.charge_bulk(fdst[edges], fdeg[fsrc[edges]] + fdeg[fdst[edges]])
+        return closed_wedge_corners(findptr, fsrc, fdst, ctx.graph.num_vertices)
 
 
-class KCliqueProgram(VertexProgram):
+class KCliqueProgram(BulkVertexProgram):
     """Vertex-centric k-clique counting by partial-clique expansion.
 
-    Messages carry ``(members, candidates)``; each hop intersects the
-    candidate set with the receiver's forward adjacency, mirroring the
-    reference enumeration tree, so message volume is proportional to the
-    number of partial cliques — the cost the paper calls "inadequate"
-    for vertex-centric platforms.
+    Superstep ``L`` receives level ``L`` of
+    :func:`~repro.platforms.kernels.clique_expansion_levels` (one
+    message per expansion, holding its index, from the task's vertex to
+    the candidate) and sends level ``L + 1``, so message volume is
+    proportional to the number of partial cliques — the cost the paper
+    calls "inadequate" for vertex-centric platforms.
     """
 
     def __init__(self, k: int = 4) -> None:
@@ -535,31 +555,33 @@ class KCliqueProgram(VertexProgram):
             raise GraphStructureError(f"k must be >= 3 for KC, got {k}")
         self.k = k
         self.total = 0
-        self._forward: list[np.ndarray] | None = None
+        self._levels: Iterator[CliqueLevel] | None = None
+        self._level: CliqueLevel | None = None
 
     def setup(self, graph: Graph) -> None:
         self.total = 0
-        self._forward = forward_adjacency(graph)
+        self._levels = clique_expansion_levels(
+            *forward_edge_arrays(graph), graph.num_vertices, self.k
+        )
+        self._level = None
 
-    def compute(self, v: int, messages, ctx: VertexContext) -> None:
-        fv = self._forward[v]
+    def compute_bulk(
+        self, frontier: np.ndarray, inbox: BulkInbox, ctx: BulkVertexContext
+    ) -> None:
         if ctx.superstep == 0:
-            ctx.charge(v, float(ctx.graph.degree(v)))
-            if fv.size:
-                payload = 8.0 * (1 + fv.size)
-                for u in fv.tolist():
-                    ctx.send(v, u, (1, fv), nbytes=payload)
-            return
-        for depth, candidates in messages:
-            narrowed = np.intersect1d(candidates, fv, assume_unique=True)
-            ctx.charge(v, float(candidates.size + fv.size))
-            size = depth + 1  # members including v
-            if size == self.k - 1:
-                self.total += int(narrowed.size)
-                continue
-            remaining = self.k - size - 1
-            if narrowed.size < remaining:
-                continue
-            payload = 8.0 * (1 + narrowed.size)
-            for w in narrowed.tolist():
-                ctx.send(v, w, (size, narrowed), nbytes=payload)
+            ctx.charge_bulk(frontier, ctx.graph.out_degrees()[frontier])
+        else:
+            _, tasks = inbox.raw()
+            level = self._level
+            u = level.cand[tasks]
+            fdeg = np.diff(forward_edge_arrays(ctx.graph)[0])
+            ctx.charge_bulk(u, level.size[tasks] + fdeg[u])
+            if ctx.superstep == self.k - 2:
+                self.total = int(level.narrowed[tasks].sum())
+                return
+        self._level = level = next(self._levels, None)
+        if level is not None:
+            ctx.send_edges_bulk(
+                level.vertex, level.cand, np.arange(level.cand.size),
+                nbytes=8.0 * (1 + level.size),
+            )

@@ -468,8 +468,7 @@ class StreamingSession:
         dst, _ = inbox.raw()
         recorder.begin_superstep()
         per_part = np.bincount(part[dst], minlength=self.parts)
-        for p in np.nonzero(per_part)[0]:
-            recorder.add_compute(int(p), float(per_part[p]))
+        recorder.add_compute_counts(per_part)
         # Border edges arrive from another fragment: meter the bytes
         # across a part boundary (part p + 1 to part p), not as a local
         # hop.

@@ -84,15 +84,19 @@ class TestRecorder:
         rec.end_superstep()
         assert rec.trace.steps[0].msg_count[3, 1] == 2
 
-    def test_add_message_block_charges_raw_byte_total(self):
+    def test_add_message_counts_charges_raw_byte_totals(self):
         rec = TraceRecorder(4)
         rec.begin_superstep()
-        rec.add_message_block(0, 2, total_bytes=40.0, count=3)
+        counts = np.zeros((4, 4), dtype=np.int64)
+        total_bytes = np.zeros((4, 4))
+        counts[0, 2], total_bytes[0, 2] = 3, 40.0
+        rec.add_message_counts(counts, total_bytes)
         rec.end_superstep()
         assert rec.trace.steps[0].msg_count[0, 2] == 3
         assert rec.trace.steps[0].msg_bytes[0, 2] == pytest.approx(40.0)
+        rec.begin_superstep()
         with pytest.raises(ClusterConfigError):
-            rec.add_message_block(0, 9, total_bytes=8.0, count=1)
+            rec.add_message_counts(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 class TestPricing:

@@ -14,12 +14,28 @@ and returns its result plus ``(ops, pulls, remote_calls)``:
 * ``pulls`` — the set of remote ``(rooting part, vertex)`` adjacency
   requests, each shipped once;
 * ``remote_calls`` — every remote request, repeats included.
+
+:func:`clique_level_loop` is the per-task form of the vertex-centric
+engine's and PowerGraph's KC, whose supersteps are the levels of
+:func:`~repro.platforms.kernels.clique_expansion_levels`.
 """
 
 import numpy as np
 
 from repro.platforms.block_centric.algorithms import sssp_blocks
-from repro.platforms.kernels import forward_adjacency
+from repro.platforms.kernels import vertex_order_positions
+
+
+def forward_adjacency(graph):
+    """Sorted higher-position neighbour arrays, one per vertex: the
+    per-vertex form of :func:`~repro.platforms.kernels.forward_edge_arrays`."""
+    und = graph.to_undirected()
+    position = vertex_order_positions(und)
+    forward = []
+    for v in range(und.num_vertices):
+        neigh = und.neighbors(v)
+        forward.append(np.sort(neigh[position[neigh] > position[v]]))
+    return forward
 
 
 def triangle_loop(graph, owner, parts):
@@ -76,6 +92,36 @@ def clique_loop(graph, owner, parts, k):
                 if narrowed.size >= k - size - 2:
                     stack.append((size + 1, narrowed))
     return total, ops, pulls, calls
+
+
+def clique_level_loop(graph, k):
+    """Per-root depth-first k-clique expansion, one row per expansion.
+
+    Root ``v`` sends its forward list to each forward neighbour; a task
+    ``(vertex, C)`` at level ``L`` receiving candidate ``u`` narrows
+    ``C`` to ``C ∩ forward(u)`` and, below level ``k - 2``, passes the
+    narrowed set on to each of its members when it can still complete
+    a clique.  Returns, per level, the sorted
+    ``(root, vertex, u, |C|, |C ∩ forward(u)|)`` rows, empty levels
+    dropped from the end.
+    """
+    forward = forward_adjacency(graph)
+    levels = [[] for _ in range(k - 2)]
+    for root in range(graph.num_vertices):
+        stack = [(1, root, root, forward[root])]
+        while stack:
+            level, root_v, vertex, candidates = stack.pop()
+            for u in candidates.tolist():
+                narrowed = np.intersect1d(candidates, forward[u],
+                                          assume_unique=True)
+                levels[level - 1].append(
+                    (root_v, vertex, u, candidates.size, narrowed.size)
+                )
+                if level < k - 2 and narrowed.size >= k - level - 2:
+                    stack.append((level + 1, root_v, u, narrowed))
+    while levels and not levels[-1]:
+        levels.pop()
+    return [sorted(rows) for rows in levels]
 
 
 def assert_one_wave(trace, graph, owner, ops, pulls):

@@ -16,8 +16,13 @@ from repro.cluster import NUM_PARTS, TraceRecorder, single_machine
 from repro.core import Graph, path_graph, random_graph, star_graph
 from repro.platforms import get_platform
 from repro.platforms.block_centric.engine import BlockCentricEngine
-from repro.platforms.kernels import forward_adjacency, forward_edge_arrays
-from task_loops import assert_one_wave, assert_traces_identical, triangle_loop
+from repro.platforms.kernels import forward_edge_arrays
+from task_loops import (
+    assert_one_wave,
+    assert_traces_identical,
+    forward_adjacency,
+    triangle_loop,
+)
 
 
 def _clustered_graph() -> Graph:

@@ -25,8 +25,8 @@ from repro.platforms.vertex_centric.engine import (
 from repro.platforms.vertex_centric.programs import (
     PageRankProgram,
     SSSPProgram,
-    TriangleCountProgram,
     WCCHashMinProgram,
+    WCCPointerJumpProgram,
 )
 
 
@@ -144,13 +144,13 @@ class TestPathSelection:
 
     def test_auto_falls_back_for_scalar_only_program(self):
         engine, _ = _engine(RANDOM, get_profile("Flash"), "auto")
-        engine.run(TriangleCountProgram())
+        engine.run(WCCPointerJumpProgram())
         assert engine.last_path == "scalar"
 
     def test_forced_bulk_rejects_scalar_only_program(self):
         engine, _ = _engine(RANDOM, get_profile("Flash"), "bulk")
         with pytest.raises(PlatformError):
-            engine.run(TriangleCountProgram())
+            engine.run(WCCPointerJumpProgram())
 
     def test_invalid_mode_rejected(self):
         recorder = TraceRecorder(NUM_PARTS)
@@ -242,3 +242,33 @@ class TestMessageBytesHonored:
         assert trace.total_message_bytes == pytest.approx(
             16.0 * trace.total_messages
         )
+
+
+class TestPerEdgePayloads:
+    """``send_edges_bulk`` with one payload per message meters exactly
+    what one ``add_message`` per message would."""
+
+    @pytest.mark.parametrize("platform_name", ["Flash", "Pregel+"])
+    def test_matches_add_message_loop(self, platform_name):
+        graph = random_graph(60, 240, seed=4)
+        src = np.repeat(np.arange(60), np.diff(graph.indptr))
+        dst = graph.indices
+        nbytes = 8.0 * (1 + src % 7)
+
+        class _Payloads(BulkVertexProgram):
+            def compute_bulk(self, frontier, inbox, ctx):
+                if ctx.superstep == 0:
+                    ctx.send_edges_bulk(src, dst, np.arange(src.size),
+                                        nbytes=nbytes)
+
+        engine, recorder = _engine(graph, get_profile(platform_name), "auto")
+        engine.run(_Payloads())
+        part = engine._part
+        loop = TraceRecorder(NUM_PARTS)
+        loop.begin_superstep()
+        for s, d, b in zip(src.tolist(), dst.tolist(), nbytes.tolist()):
+            loop.add_message(int(part[s]), int(part[d]), b)
+        loop.end_superstep()
+        got, want = recorder.trace.steps[0], loop.trace.steps[0]
+        assert np.array_equal(got.msg_count, want.msg_count)
+        assert np.array_equal(got.msg_bytes, want.msg_bytes)

@@ -435,3 +435,18 @@ def test_pins_cover_every_case():
 @pytest.mark.parametrize("key,case", cases(), ids=[k for k, _ in cases()])
 def test_census_metering_pinned(key, case):
     assert record(*case) == PINS[key]
+
+
+#: forced-mode sample: every platform and run on two graphs, 1 machine
+MODE_CASES = [
+    (key, case) for key, case in cases()
+    if case[3] in ("random", "loopy") and case[4] == "1m"
+]
+
+
+@pytest.mark.parametrize("mode", ["scalar", "bulk"])
+@pytest.mark.parametrize("key,case", MODE_CASES,
+                         ids=[k for k, _ in MODE_CASES])
+def test_engine_mode_ignored(key, case, mode):
+    """TC, KC and LCC have one path; a forced mode changes nothing."""
+    assert record(*case, engine_mode=mode) == PINS[key]

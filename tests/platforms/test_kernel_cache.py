@@ -9,7 +9,7 @@ from repro.core import random_graph
 from repro.platforms.kernels import (
     cached_kernel,
     clear_kernel_cache,
-    forward_adjacency,
+    forward_edge_arrays,
     kernel_cache_stats,
 )
 
@@ -52,7 +52,7 @@ class TestCachedKernel:
 
     def test_wrapped_kernels_memoize(self):
         graph = random_graph(40, 120, seed=7)
-        assert forward_adjacency(graph) is forward_adjacency(graph)
+        assert forward_edge_arrays(graph) is forward_edge_arrays(graph)
         stats = kernel_cache_stats()
         assert stats["hits"] >= 1
 

@@ -23,12 +23,13 @@ from repro.core import (
 from repro.platforms.kernels import (
     ChunkedDrawBuffer,
     broadcast_pair_counts,
+    clique_expansion_levels,
     closed_wedge_corners,
     clustering_coefficients,
     expand_segments,
-    forward_adjacency,
     forward_edge_arrays,
     lexsorted_csr,
+    message_matrices,
     out_part_histogram,
     segmented_mode,
     self_loop_counts,
@@ -37,7 +38,8 @@ from repro.platforms.kernels import (
     unique_pull_pairs,
     vertex_order_positions,
 )
-from task_loops import triangle_loop
+from repro.cluster import TraceRecorder
+from task_loops import clique_level_loop, forward_adjacency, triangle_loop
 
 RANDOM = random_graph(120, 500, seed=7)
 
@@ -403,6 +405,80 @@ class TestTriangleCensus:
         assert all(c.size == 0 and c.dtype == np.int64 for c in corners)
         assert ops.tolist() == [0.0, 0.0]
         assert pull_root.size == pull_vertex.size == calls == 0
+
+
+class TestCliqueExpansionLevels:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(census_inputs(), st.sampled_from([3, 4, 5]))
+    def test_matches_per_task_dfs_loop(self, case, k):
+        graph, _, _ = case
+        levels = list(clique_expansion_levels(
+            *forward_edge_arrays(graph), graph.num_vertices, k
+        ))
+        want = clique_level_loop(graph, k)
+        assert len(levels) == len(want) <= k - 2
+        for level, rows in zip(levels, want):
+            assert all(field.dtype == np.int64 for field in level)
+            got = sorted(zip(*(field.tolist() for field in level)))
+            assert got == rows
+
+    def test_levels_count_cliques(self):
+        from repro.algorithms.reference import k_clique_count
+
+        graph = complete_graph(7)
+        for k in (3, 4, 5):
+            *_, last = clique_expansion_levels(
+                *forward_edge_arrays(graph), 7, k
+            )
+            assert int(last.narrowed.sum()) == k_clique_count(graph, k)
+
+    def test_no_forward_edges_yields_nothing(self):
+        g = Graph.from_edges([1], [1], num_vertices=3, directed=False,
+                             drop_self_loops=False)
+        assert list(clique_expansion_levels(*forward_edge_arrays(g), 3, 4)) == []
+
+
+@st.composite
+def message_batches(draw):
+    """Per-message part pairs and whole-byte payloads over 1-5 parts."""
+    parts = draw(st.integers(1, 5))
+    size = draw(st.integers(0, 40))
+    part = st.integers(0, parts - 1)
+    src = draw(st.lists(part, min_size=size, max_size=size))
+    dst = draw(st.lists(part, min_size=size, max_size=size))
+    nbytes = draw(st.lists(st.integers(0, 10**6), min_size=size,
+                           max_size=size))
+    return (parts, np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64), np.array(nbytes, dtype=np.float64))
+
+
+class TestMessageMatrices:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(message_batches())
+    def test_per_message_nbytes_equal_add_message_loop(self, batch):
+        parts, src, dst, nbytes = batch
+        bulk, loop = TraceRecorder(parts), TraceRecorder(parts)
+        bulk.begin_superstep()
+        loop.begin_superstep()
+        bulk.add_message(0, parts - 1, 8.0)  # a cell already charged
+        loop.add_message(0, parts - 1, 8.0)
+        bulk.add_message_counts(*message_matrices(src, dst, nbytes, parts))
+        for i, j, b in zip(src.tolist(), dst.tolist(), nbytes.tolist()):
+            loop.add_message(i, j, b)
+        bulk.end_superstep()
+        loop.end_superstep()
+        (got,), (want,) = bulk.trace.steps, loop.trace.steps
+        assert np.array_equal(got.msg_count, want.msg_count)
+        assert np.array_equal(got.msg_bytes, want.msg_bytes)
+
+    def test_scalar_payload(self):
+        counts, total = message_matrices(
+            np.array([0, 0, 1]), np.array([1, 1, 0]), 24.0, 2
+        )
+        assert counts.tolist() == [[0, 2], [1, 0]]
+        assert total.tolist() == [[0.0, 48.0], [24.0, 0.0]]
 
 
 class TestUniquePullPairs:
